@@ -447,18 +447,31 @@ func BenchmarkELMInitTrainKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkFPGACoreKernels is the kernel rung of the perf ladder: one
+// predict or seq_train invocation of the fixed-point core per op, with
+// its exact datapath cycles reported beside the host time.
 func BenchmarkFPGACoreKernels(b *testing.B) {
 	for _, hidden := range paperHiddenSizes {
 		hidden := hidden
-		b.Run(fmt.Sprintf("seq_train/%dunits", hidden), func(b *testing.B) {
-			core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
-			x := make([]fixed.Fixed, 5)
-			t := []fixed.Fixed{fixed.FromFloat(0.3)}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				core.SeqTrain(x, t)
-			}
-		})
+		for _, k := range []fpga.Kernel{fpga.KernelPredict, fpga.KernelSeqTrain} {
+			k := k
+			b.Run(fmt.Sprintf("%s/%dunits", k, hidden), func(b *testing.B) {
+				core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
+				x := make([]fixed.Fixed, 5)
+				t := []fixed.Fixed{fixed.FromFloat(0.3)}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if k == fpga.KernelSeqTrain {
+						core.SeqTrain(x, t)
+					} else {
+						core.Predict(x)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(core.Cycles())/float64(b.N), "cycles/op")
+			})
+		}
 	}
 }
 

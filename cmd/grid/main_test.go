@@ -182,9 +182,17 @@ func TestGridKillResume(t *testing.T) {
 
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "GRID_HELPER=1", "GRID_ARGS="+strings.Join(args, "\x1f"))
+	killWithParent(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// The helper would train DQN for a long time: whatever path the test
+	// leaves by, the child goes with it. Kill and Wait errors only mean
+	// the child is already gone.
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
 	// Wait for the fast cell's record to land (fsynced before the slow
 	// cell starts on the single worker), then SIGKILL mid-DQN-training.
 	deadline := time.Now().Add(60 * time.Second)
@@ -193,8 +201,6 @@ func TestGridKillResume(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
 			t.Fatal("first cell never reached the ledger")
 		}
 		time.Sleep(20 * time.Millisecond)

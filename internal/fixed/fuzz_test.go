@@ -127,3 +127,23 @@ func FuzzClampReLU(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVecKernels drives the vector-kernel differential check with
+// arbitrary words and formats: data is split into two word vectors, frac
+// picks the fraction width (1..MaxFracBits) and acc/s seed the
+// accumulator and the update scale.
+func FuzzVecKernels(f *testing.F) {
+	f.Add([]byte{0, 0, 0x10, 0, 0, 0, 0xf0, 0xff}, uint8(20), int32(1<<20), int32(-1<<20))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80, 1, 0, 0, 0}, uint8(16), int32(math.MaxInt32), int32(math.MinInt32))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(24), int32(0), int32(3))
+	f.Fuzz(func(t *testing.T, data []byte, frac uint8, acc, s int32) {
+		q := QFormat{Frac: uint(frac)%MaxFracBits + 1}
+		words := make([]Fixed, len(data)/4)
+		for i := range words {
+			b := data[4*i:]
+			words[i] = Fixed(int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24))
+		}
+		half := len(words) / 2
+		checkVecKernels(t, q, Fixed(acc), Fixed(s), words[:half], words[half:])
+	})
+}

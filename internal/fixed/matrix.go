@@ -81,6 +81,13 @@ func (m *Matrix) At(i, j int) Fixed { return m.data[i*m.cols+j] }
 // Set assigns the element at (i, j).
 func (m *Matrix) Set(i, j int, v Fixed) { m.data[i*m.cols+j] = v }
 
+// Row returns row i as a slice aliasing the matrix storage: writes
+// through it update the matrix. The datapath kernels stream BRAM rows
+// through it.
+func (m *Matrix) Row(i int) []Fixed {
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+}
+
 // Clone returns a deep copy preserving the format.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrixQ(m.rows, m.cols, m.q)

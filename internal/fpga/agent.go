@@ -49,6 +49,7 @@ type Agent struct {
 	cycles      CycleModel
 	q           fixed.QFormat
 	scratch     []fixed.Fixed
+	target      [1]fixed.Fixed // the seq_train target word
 	exploreProb float64
 
 	// obs receives structured events and metrics; nil disables.
@@ -424,7 +425,8 @@ func (a *Agent) sequentialUpdate(t replay.Transition) {
 	if kernelSpans {
 		profBefore = *a.core.Prof()
 	}
-	a.core.SeqTrain(in, []fixed.Fixed{a.q.FromFloat(y)})
+	a.target[0] = a.q.FromFloat(y)
+	a.core.SeqTrain(in, a.target[:])
 	cycles := float64(a.core.Cycles() - start)
 	a.counters.Add(timing.PhaseSeqTrain, cycles)
 	if kernelSpans {

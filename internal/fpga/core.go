@@ -4,10 +4,13 @@
 // on the Cortex-A9 CPU. The paper fixes the format to Q20; the simulator
 // parameterizes it (NewCoreQ/NewAgentQ take any Qm.f format) with Q20 as
 // the default. The simulator is bit-accurate — every add, mul and div
-// goes through internal/fixed's saturating Qm.f arithmetic — and
-// cycle-counted: the paper's core has "only a single add, mult, and div
-// unit", so datapath cycles are the sequential operation count (divides
-// take an iterative divider's latency). Cycle counts and BRAM/DSP/FF/LUT
+// goes through internal/fixed's saturating Qm.f arithmetic, run as
+// vector kernels over BRAM rows — and cycle-counted: the paper's core has
+// "only a single add, mult, and div unit", so datapath cycles are the
+// sequential operation count (divides take an iterative divider's
+// latency). Each kernel's operation count is fixed by the core's
+// dimensions, so a kernel charges it once per invocation instead of
+// counting op by op. Cycle counts and BRAM/DSP/FF/LUT
 // resources are format-invariant: only the binary point moves, the 32-bit
 // word and the operation schedule do not.
 //
@@ -84,23 +87,28 @@ type Core struct {
 	// scratch vectors model the working BRAMs (h and P·h).
 	h  []fixed.Fixed
 	ph []fixed.Fixed
+	// g is the seq_train gain s·ph and e the residual t − h·β: register
+	// or LUTRAM scratch, not modelled BRAM banks. out is the predict
+	// module's output register, returned by Predict and reused by the
+	// next call.
+	g, e, out []fixed.Fixed
 
 	// Numeric-health accounting. acct is the active accumulator during a
 	// module invocation (acctPredict inside Predict, acctSeq inside
 	// SeqTrain); acctConv accounts the LoadFloat quantization boundary.
 	// All nil when accounting is off — the datapath then pays one nil
-	// check per op and nothing else (pinned by the disabled-path tests).
+	// check per kernel call and nothing else (pinned by the disabled-path
+	// tests).
 	acct        *fixed.Acct
 	acctPredict *fixed.Acct
 	acctSeq     *fixed.Acct
 	acctConv    *fixed.Acct
 
 	// Device-level cycle profiler (prof.go); nil when profiling is off.
-	// Kernels bulk-charge their deterministic loop totals at kernel
-	// boundaries (Prof.charge is nil-safe), so the per-op hot path —
-	// add/mul/div below — carries no profiler code at all and stays
-	// inlinable. profPhase is the module being executed, set by
-	// enterModule and read by the shared hidden() pass.
+	// Kernels charge their fixed operation counts through charge, which
+	// feeds the cycle counter and the profiler together (Prof.charge is
+	// nil-safe). profPhase is the module being executed, set by
+	// enterModule and read by charge.
 	prof      *Prof
 	profPhase ProfPhase
 }
@@ -133,6 +141,9 @@ func NewCoreQ(inputSize, hiddenSize, outputSize int, model CycleModel, q fixed.Q
 		model:      model,
 		h:          make([]fixed.Fixed, hiddenSize),
 		ph:         make([]fixed.Fixed, hiddenSize),
+		g:          make([]fixed.Fixed, hiddenSize),
+		e:          make([]fixed.Fixed, outputSize),
+		out:        make([]fixed.Fixed, outputSize),
 	}
 }
 
@@ -238,58 +249,60 @@ func (c *Core) HiddenSize() int { return c.hiddenSize }
 // OutputSize returns m.
 func (c *Core) OutputSize() int { return c.outputSize }
 
-// enterModule marks a module invocation for the profiler: sets the phase
-// and charges the FSM invocation overhead to (phase, overhead, invoke).
+// cost returns the cycles one operation on unit u takes (an invocation
+// for UnitInvoke).
+func (m CycleModel) cost(u ProfUnit) int64 {
+	switch u {
+	case UnitAdd:
+		return m.Add
+	case UnitMul:
+		return m.Mul
+	case UnitDiv:
+		return m.Div
+	}
+	return m.InvokeOverhead
+}
+
+// charge books ops operations on unit u to kernel k of the current
+// module. It is the only place cycles are counted: the counter and the
+// profiler cell get the same cycles, so ΣProf == Cycles() holds by
+// construction. Every kernel's operation count is fixed by the core's
+// dimensions, so one charge per kernel invocation is exact.
+func (c *Core) charge(k ProfKernel, u ProfUnit, ops int64) {
+	cyc := ops * c.model.cost(u)
+	c.cycles += cyc
+	c.prof.charge(c.profPhase, k, u, cyc, ops)
+}
+
+// chargeMACs charges n multiply-accumulates (n adds + n muls through the
+// shared units) to kernel k.
+func (c *Core) chargeMACs(k ProfKernel, n int64) {
+	c.charge(k, UnitAdd, n)
+	c.charge(k, UnitMul, n)
+}
+
+// enterModule marks a module invocation: sets the profiler phase and
+// charges the FSM invocation overhead.
 func (c *Core) enterModule(ph ProfPhase) {
 	c.profPhase = ph
-	c.cycles += c.model.InvokeOverhead
-	c.prof.charge(ph, KernOverhead, UnitInvoke, c.model.InvokeOverhead, 1)
+	c.charge(KernOverhead, UnitInvoke, 1)
 }
 
-// chargeMACs attributes one kernel's n multiply-accumulates (n adds + n
-// muls through the shared units) to the profiler. The MAC count of every
-// kernel loop is fixed by the core's dimensions, so charging the bulk
-// total at the kernel boundary is exact — and keeps add/mul below free of
-// profiler code.
-func (c *Core) chargeMACs(k ProfKernel, n int64) {
-	c.prof.charge(c.profPhase, k, UnitAdd, n*c.model.Add, n)
-	c.prof.charge(c.profPhase, k, UnitMul, n*c.model.Mul, n)
-}
-
-func (c *Core) add(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Add
-	return c.acct.Add(a, b)
-}
-
-func (c *Core) sub(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Add
-	return c.acct.Sub(a, b)
-}
-
-func (c *Core) mul(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Mul
-	return c.acct.MulQ(c.q, a, b)
-}
-
-func (c *Core) div(a, b fixed.Fixed) fixed.Fixed {
-	c.cycles += c.model.Div
-	return c.acct.DivQ(c.q, a, b)
-}
-
-// hidden computes h = ReLU(x·α + b) into c.h. The caller has set the
-// profiler phase (enterModule) — the hidden pass itself charges the
-// hidden_pass kernel and the x/α/bias/h bank traffic: the input DMA'd
-// into the x bank once, then x and α streamed once per MAC.
+// hidden computes h = ReLU(x·α + b) into c.h, one row of α per input:
+// every h[j] still accumulates its products in input order. The caller
+// has set the profiler phase (enterModule) — the hidden pass itself
+// charges the hidden_pass kernel and the x/α/bias/h bank traffic: the
+// input DMA'd into the x bank once, then x and α streamed once per MAC.
 func (c *Core) hidden(x []fixed.Fixed) {
 	if len(x) != c.inputSize {
 		panic(fmt.Sprintf("fpga: input length %d, core expects %d", len(x), c.inputSize))
 	}
-	for j := 0; j < c.hiddenSize; j++ {
-		acc := c.Bias[j]
-		for i := 0; i < c.inputSize; i++ {
-			acc = c.add(acc, c.mul(x[i], c.Alpha.At(i, j)))
-		}
-		c.h[j] = fixed.ReLU(acc) // comparator, no arithmetic-unit cycle
+	copy(c.h, c.Bias)
+	for i, xi := range x {
+		c.acct.AddScaledQ(c.q, c.h, xi, c.Alpha.Row(i))
+	}
+	for j, v := range c.h {
+		c.h[j] = fixed.ReLU(v) // comparator, no arithmetic-unit cycle
 	}
 	n, h := int64(c.inputSize), int64(c.hiddenSize)
 	c.chargeMACs(KernHiddenPass, n*h)
@@ -300,26 +313,36 @@ func (c *Core) hidden(x []fixed.Fixed) {
 	c.prof.access(BankH, BankWrite, h)
 }
 
+// hBeta computes dst = h·β, one row of β per hidden unit: every dst[o]
+// accumulates its products in hidden-unit order. The caller charges it.
+func (c *Core) hBeta(beta *fixed.Matrix, dst []fixed.Fixed) {
+	clear(dst)
+	for j, hj := range c.h {
+		c.acct.AddScaledQ(c.q, dst, hj, beta.Row(j))
+	}
+}
+
 // Predict runs the predict module: y = h·β for one input vector. The
 // output pass is attributed to the residual kernel — it is the same h·β
 // dot product the seq_train residual evaluates.
+//
+// The returned slice is the core's output register: it is valid until
+// the next Predict, PredictUsing or PredictSilent call on this core, which
+// overwrites it. Callers that keep a result must copy it.
 func (c *Core) Predict(x []fixed.Fixed) []fixed.Fixed {
+	return c.predict(c.Beta, x)
+}
+
+func (c *Core) predict(beta *fixed.Matrix, x []fixed.Fixed) []fixed.Fixed {
 	c.acct = c.acctPredict
 	c.enterModule(ProfPredict)
 	c.hidden(x)
-	out := make([]fixed.Fixed, c.outputSize)
-	for o := 0; o < c.outputSize; o++ {
-		var acc fixed.Fixed
-		for j := 0; j < c.hiddenSize; j++ {
-			acc = c.add(acc, c.mul(c.h[j], c.Beta.At(j, o)))
-		}
-		out[o] = acc
-	}
+	c.hBeta(beta, c.out)
 	hn, m := int64(c.hiddenSize), int64(c.outputSize)
 	c.chargeMACs(KernResidual, m*hn)
 	c.prof.access(BankH, BankRead, m*hn)
 	c.prof.access(BankBeta, BankRead, m*hn)
-	return out
+	return c.out
 }
 
 // PredictFloat is Predict with float64 conversion at the boundary (the
@@ -339,13 +362,10 @@ func (c *Core) PredictFloat(x []float64) []float64 {
 
 // PredictUsing runs the predict datapath with an alternative output-weight
 // BRAM — the target network θ2's β, which shares α and b with θ1 (α is
-// frozen; only β is trained). Cycle cost is identical to Predict.
+// frozen; only β is trained). Cycle cost is identical to Predict, and
+// it returns the same reused output slice.
 func (c *Core) PredictUsing(beta *fixed.Matrix, x []fixed.Fixed) []fixed.Fixed {
-	saved := c.Beta
-	c.Beta = beta
-	out := c.Predict(x)
-	c.Beta = saved
-	return out
+	return c.predict(beta, x)
 }
 
 // PredictSilent evaluates the predict datapath WITHOUT modelling it: the
@@ -357,7 +377,8 @@ func (c *Core) PredictUsing(beta *fixed.Matrix, x []fixed.Fixed) []fixed.Fixed {
 // Cycles invariant intact. It exists for observability probes (e.g.
 // measuring the post-update TD error) that the real hardware would not
 // execute — an instrumentation-only read must not perturb the modelled
-// device (asserted by TestPredictSilent / TestPredictSilentProfile).
+// device (asserted by TestPredictSilent / TestPredictSilentProfile). It
+// returns the same reused output slice as Predict.
 func (c *Core) PredictSilent(x []fixed.Fixed) []fixed.Fixed {
 	savedCycles := c.cycles
 	savedProf := c.prof
@@ -400,32 +421,25 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	c.acct = c.acctSeq
 	c.enterModule(ProfSeqTrain)
 	c.hidden(x)
-	n := c.hiddenSize
-	nn := int64(n) * int64(n)
+	n := int64(c.hiddenSize)
+	nn := n * n
 
 	// ph = P·hᵀ
-	for i := 0; i < n; i++ {
-		var acc fixed.Fixed
-		for j := 0; j < n; j++ {
-			acc = c.add(acc, c.mul(c.P.At(i, j), c.h[j]))
-		}
-		c.ph[i] = acc
+	for i := range c.ph {
+		c.ph[i] = c.acct.DotQ(c.q, 0, c.P.Row(i), c.h)
 	}
 	c.chargeMACs(KernPH, nn)
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankH, BankRead, nn)
-	c.prof.access(BankPH, BankWrite, int64(n))
+	c.prof.access(BankPH, BankWrite, n)
 
 	// denom = 1 + h·ph ; s = 1/denom (the gain kernel's scalar path).
 	// The denominator MACs are charged before the guard check so a
 	// rejected update's attribution still covers exactly the work that ran.
-	denom := c.one
-	for j := 0; j < n; j++ {
-		denom = c.add(denom, c.mul(c.h[j], c.ph[j]))
-	}
-	c.chargeMACs(KernGain, int64(n))
-	c.prof.access(BankH, BankRead, int64(n))
-	c.prof.access(BankPH, BankRead, int64(n))
+	denom := c.acct.DotQ(c.q, c.one, c.h, c.ph)
+	c.chargeMACs(KernGain, n)
+	c.prof.access(BankH, BankRead, n)
+	c.prof.access(BankPH, BankRead, n)
 	if denom < c.denomFloor {
 		// Guard bail: the FSM stops here, so only the work that actually
 		// ran is charged — the attribution invariant holds for rejected
@@ -434,25 +448,21 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 		c.denomGuardTrips++
 		return
 	}
-	s := c.div(c.one, denom)
-	c.prof.charge(ProfSeqTrain, KernGain, UnitDiv, c.model.Div, 1)
+	s := c.acct.DivQ(c.q, c.one, denom)
+	c.charge(KernGain, UnitDiv, 1)
 
-	// g = s·ph (the Kalman-style gain, reused for both P and β updates;
-	// g lives in register/LUTRAM scratch, not a modelled BRAM bank)
-	g := make([]fixed.Fixed, n)
-	for i := 0; i < n; i++ {
-		g[i] = c.mul(s, c.ph[i])
+	// g = s·ph (the Kalman-style gain, reused for both P and β updates)
+	for i, v := range c.ph {
+		c.g[i] = c.acct.MulQ(c.q, s, v)
 	}
-	c.prof.charge(ProfSeqTrain, KernGain, UnitMul, int64(n)*c.model.Mul, int64(n))
-	c.prof.access(BankPH, BankRead, int64(n))
+	c.charge(KernGain, UnitMul, n)
+	c.prof.access(BankPH, BankRead, n)
 
 	// P ← P − g·phᵀ. The transposed copy (Pt bank) is written alongside
 	// P to keep the ping-pong pair coherent for the next iteration's
 	// column sweep.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			c.P.Set(i, j, c.sub(c.P.At(i, j), c.mul(g[i], c.ph[j])))
-		}
+	for i, gi := range c.g {
+		c.acct.SubScaledQ(c.q, c.P.Row(i), gi, c.ph)
 	}
 	c.chargeMACs(KernDowndate, nn)
 	c.prof.access(BankP, BankRead, nn)
@@ -460,21 +470,21 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	c.prof.access(BankP, BankWrite, nn)
 	c.prof.access(BankPt, BankWrite, nn)
 
-	// e = t − h·β ; β ← β + g·e
-	for o := 0; o < c.outputSize; o++ {
-		var pred fixed.Fixed
-		for j := 0; j < n; j++ {
-			pred = c.add(pred, c.mul(c.h[j], c.Beta.At(j, o)))
-		}
-		e := c.sub(t[o], pred)
-		for j := 0; j < n; j++ {
-			c.Beta.Set(j, o, c.add(c.Beta.At(j, o), c.mul(g[j], e)))
-		}
+	// e = t − h·β ; β ← β + g·e. Column o of β is read only by e[o] and
+	// written only by its own update, so computing every e[o] before the
+	// row-wise update gives the same words as updating column by column.
+	c.hBeta(c.Beta, c.e)
+	for o, v := range c.e {
+		c.e[o] = c.acct.Sub(t[o], v)
 	}
-	mn := int64(c.outputSize) * int64(n)
+	for j, gj := range c.g {
+		c.acct.AddScaledQ(c.q, c.Beta.Row(j), gj, c.e)
+	}
+	m := int64(c.outputSize)
+	mn := m * n
 	c.chargeMACs(KernResidual, mn)
 	// The residual's e = t − pred subtract: one extra add-unit op per output.
-	c.prof.charge(ProfSeqTrain, KernResidual, UnitAdd, int64(c.outputSize)*c.model.Add, int64(c.outputSize))
+	c.charge(KernResidual, UnitAdd, m)
 	c.chargeMACs(KernBetaUpdate, mn)
 	c.prof.access(BankH, BankRead, mn)
 	c.prof.access(BankBeta, BankRead, 2*mn) // residual read + update read-modify-write

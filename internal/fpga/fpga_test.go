@@ -248,6 +248,36 @@ func TestAgentLifecycle(t *testing.T) {
 	}
 }
 
+// TestAgentStepDoesNotAllocate: with the core loaded and no observer, a
+// training step — greedy SelectAction on the core plus an Observe that
+// runs the target predicts and seq_train — allocates nothing.
+func TestAgentStepDoesNotAllocate(t *testing.T) {
+	cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 8)
+	cfg.Seed = 5
+	cfg.Epsilon1 = 1 // never explore: every action runs predict on the core
+	cfg.Epsilon2 = 1 // every Observe runs seq_train
+	a := MustNewAgent(cfg, DefaultCycleModel())
+	s := []float64{0.1, 0.2, 0.3, 0.4}
+	tr := replay.Transition{State: s, NextState: s, Reward: 0.1}
+	for !a.Trained() {
+		if err := a.Observe(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Action = a.SelectAction(s)
+		if err := a.Observe(tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("loaded agent step allocates %g objects, want 0", allocs)
+	}
+	if a.Counters().Calls(timing.PhaseSeqTrain) == 0 {
+		t.Error("the measured steps ran no seq_train")
+	}
+}
+
 // TestAgentLearnsCartPole: integration — the fixed-point agent improves on
 // CartPole (moving average well above the random baseline of ~20 steps).
 func TestAgentLearnsCartPole(t *testing.T) {

@@ -8,8 +8,9 @@ package fpga
 // off (pinned by the disabled-path benchmarks).
 //
 // The load-bearing invariant: the sum of all attributed cycles equals
-// Core.Cycles() exactly — every `c.cycles +=` site in core.go has a
-// matching charge — and, for complete module invocations, the per-kernel
+// Core.Cycles() exactly — Core.charge is the one place cycles are
+// counted, and it feeds the counter and the profiler together — and, for
+// complete module invocations, the per-kernel
 // sums equal the analytic PredictKernelCycles/SeqTrainKernelCycles
 // breakdowns. The profiler is therefore a cross-check on the cycle model
 // itself, not just a lens over it (prof_test.go enforces this across
@@ -225,11 +226,10 @@ type Prof struct {
 
 // charge attributes cyc cycles and ops operations to one (phase, kernel,
 // unit) cell. Nil-safe: the disabled profiler costs one pointer
-// comparison. Kernels bulk-charge their deterministic loop totals at the
-// kernel boundary rather than per elementary op — the loop trip counts
-// are fixed by the core's dimensions, so the attribution is exact while
-// the datapath's add/mul/div helpers stay small enough to inline and the
-// profiler-off hot path is identical to the pre-profiler core.
+// comparison. Kernels charge their deterministic loop totals once per
+// invocation (through Core.charge) rather than per elementary op — the
+// loop trip counts are fixed by the core's dimensions, so the
+// attribution is exact.
 func (p *Prof) charge(ph ProfPhase, k ProfKernel, u ProfUnit, cyc, ops int64) {
 	if p == nil {
 		return
