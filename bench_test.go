@@ -174,8 +174,9 @@ func BenchmarkFigure6FPGADetail(b *testing.B) {
 				core.SeqTrain(x, t)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(core.SeqTrainCycles()), "pl_cycles")
-			b.ReportMetric(float64(core.SeqTrainCycles())/125.0, "pl_us@125MHz")
+			seq := core.KernelCosts()[fpga.KernelSeqTrain]
+			b.ReportMetric(float64(seq), "pl_cycles")
+			b.ReportMetric(float64(seq)/125.0, "pl_us@125MHz")
 		})
 		b.Run(fmt.Sprintf("predict/%dunits", hidden), func(b *testing.B) {
 			core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
@@ -185,7 +186,7 @@ func BenchmarkFigure6FPGADetail(b *testing.B) {
 				core.Predict(x)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(core.PredictCycles()), "pl_cycles")
+			b.ReportMetric(float64(core.KernelCosts()[fpga.KernelPredict]), "pl_cycles")
 		})
 	}
 }

@@ -11,7 +11,7 @@
 // Time is counted in integer device cycles (125 MHz by default, the
 // paper's PL clock). A Workload is a set of members, each a sequential
 // chain of kernel invocations (Jobs) with per-invocation cycle costs
-// taken from the fpga kernel-boundary interface (Core.KernelCycles /
+// taken from the fpga kernel-boundary interface (fpga.KernelCosts, from
 // AnalyticKernelCosts) — the simulator charges time without
 // re-executing any arithmetic. The dispatcher is serialized: issuing
 // one kernel to a core occupies it for Config.DispatchCycles (default

@@ -60,8 +60,9 @@ func TestGoldenVectorsWithAccounting(t *testing.T) {
 			t.Errorf("accounted P[%d][%d] = %d, want golden %d", i, i, got, wantPDiag[i])
 		}
 	}
-	if got := core.Cycles(); got != core.PredictCycles()+core.SeqTrainCycles() {
-		t.Errorf("accounted cycles = %d, want %d", got, core.PredictCycles()+core.SeqTrainCycles())
+	kc := core.KernelCosts()
+	if got := core.Cycles(); got != kc[KernelPredict]+kc[KernelSeqTrain] {
+		t.Errorf("accounted cycles = %d, want %d", got, kc[KernelPredict]+kc[KernelSeqTrain])
 	}
 
 	// Ops landed in the right per-module accumulators.

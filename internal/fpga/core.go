@@ -9,8 +9,9 @@
 // "only a single add, mult, and div unit", so datapath cycles are the
 // sequential operation count (divides take an iterative divider's
 // latency). Each kernel's operation count is fixed by the core's
-// dimensions, so a kernel charges it once per invocation instead of
-// counting op by op. Cycle counts and BRAM/DSP/FF/LUT
+// dimensions and written once, in the schedule table (kernel.go), so a
+// kernel charges its schedule row once per invocation instead of counting
+// op by op. Cycle counts and BRAM/DSP/FF/LUT
 // resources are format-invariant: only the binary point moves, the 32-bit
 // word and the operation schedule do not.
 //
@@ -68,6 +69,11 @@ type Core struct {
 
 	model  CycleModel
 	cycles int64
+	// sched is the schedule priced under model, per module and row,
+	// computed once by NewCoreQ; module is the module being executed,
+	// set by enterModule and read by charge.
+	sched  [NumKernels][scheduleRows]rowCost
+	module Kernel
 
 	// q is the Qm.f arithmetic context (normalized; Q20 by default); one
 	// is 1.0 in that format, cached because the seq_train inner loop and
@@ -105,10 +111,9 @@ type Core struct {
 	acctConv    *fixed.Acct
 
 	// Device-level cycle profiler (prof.go); nil when profiling is off.
-	// Kernels charge their fixed operation counts through charge, which
-	// feeds the cycle counter and the profiler together (Prof.charge is
-	// nil-safe). profPhase is the module being executed, set by
-	// enterModule and read by charge.
+	// Kernels charge their schedule rows through charge, which feeds the
+	// cycle counter and the profiler together (Prof.charge is nil-safe).
+	// profPhase is the profiler phase of module.
 	prof      *Prof
 	profPhase ProfPhase
 }
@@ -127,7 +132,7 @@ func NewCoreQ(inputSize, hiddenSize, outputSize int, model CycleModel, q fixed.Q
 	}
 	q = q.Normalized()
 	one := q.One()
-	return &Core{
+	c := &Core{
 		Alpha:      fixed.NewMatrixQ(inputSize, hiddenSize, q),
 		Bias:       make([]fixed.Fixed, hiddenSize),
 		Beta:       fixed.NewMatrixQ(hiddenSize, outputSize, q),
@@ -145,6 +150,14 @@ func NewCoreQ(inputSize, hiddenSize, outputSize int, model CycleModel, q fixed.Q
 		e:          make([]fixed.Fixed, outputSize),
 		out:        make([]fixed.Fixed, outputSize),
 	}
+	for k := range c.sched {
+		for s, ops := range schedule(Kernel(k), int64(inputSize), int64(hiddenSize), int64(outputSize)) {
+			st := &c.sched[k][s]
+			st.ops = ops
+			st.cycles, st.total = model.price(ops)
+		}
+	}
+	return c
 }
 
 // Format returns the core's Qm.f arithmetic format.
@@ -249,43 +262,40 @@ func (c *Core) HiddenSize() int { return c.hiddenSize }
 // OutputSize returns m.
 func (c *Core) OutputSize() int { return c.outputSize }
 
-// cost returns the cycles one operation on unit u takes (an invocation
-// for UnitInvoke).
-func (m CycleModel) cost(u ProfUnit) int64 {
-	switch u {
-	case UnitAdd:
-		return m.Add
-	case UnitMul:
-		return m.Mul
-	case UnitDiv:
-		return m.Div
+// price returns the cycles ops take on each unit under m (an invocation
+// costs InvokeOverhead on UnitInvoke) and their sum.
+func (m CycleModel) price(ops unitOps) (cyc unitOps, total int64) {
+	lat := unitOps{UnitAdd: m.Add, UnitMul: m.Mul, UnitDiv: m.Div, UnitInvoke: m.InvokeOverhead}
+	for u, n := range ops {
+		cyc[u] = n * lat[u]
+		total += cyc[u]
 	}
-	return m.InvokeOverhead
+	return cyc, total
 }
 
-// charge books ops operations on unit u to kernel k of the current
-// module. It is the only place cycles are counted: the counter and the
-// profiler cell get the same cycles, so ΣProf == Cycles() holds by
-// construction. Every kernel's operation count is fixed by the core's
-// dimensions, so one charge per kernel invocation is exact.
-func (c *Core) charge(k ProfKernel, u ProfUnit, ops int64) {
-	cyc := ops * c.model.cost(u)
-	c.cycles += cyc
-	c.prof.charge(c.profPhase, k, u, cyc, ops)
+// rowCost is one schedule row priced under the core's CycleModel.
+type rowCost struct {
+	ops, cycles unitOps
+	total       int64
 }
 
-// chargeMACs charges n multiply-accumulates (n adds + n muls through the
-// shared units) to kernel k.
-func (c *Core) chargeMACs(k ProfKernel, n int64) {
-	c.charge(k, UnitAdd, n)
-	c.charge(k, UnitMul, n)
+// charge books kernel k's schedule row of the current module. It is the
+// only place cycles are counted: the counter and the profiler get the
+// same cycles, so ΣProf == Cycles() holds by construction.
+func (c *Core) charge(k ProfKernel) {
+	st := &c.sched[c.module][k]
+	c.cycles += st.total
+	if k == kernGainScale {
+		k = KernGain
+	}
+	c.prof.charge(c.profPhase, k, &st.cycles, &st.ops)
 }
 
-// enterModule marks a module invocation: sets the profiler phase and
-// charges the FSM invocation overhead.
-func (c *Core) enterModule(ph ProfPhase) {
-	c.profPhase = ph
-	c.charge(KernOverhead, UnitInvoke, 1)
+// enterModule marks an invocation of module k: sets the profiler phase
+// and charges the FSM invocation overhead.
+func (c *Core) enterModule(k Kernel, ph ProfPhase) {
+	c.module, c.profPhase = k, ph
+	c.charge(KernOverhead)
 }
 
 // hidden computes h = ReLU(x·α + b) into c.h, one row of α per input:
@@ -305,7 +315,7 @@ func (c *Core) hidden(x []fixed.Fixed) {
 		c.h[j] = fixed.ReLU(v) // comparator, no arithmetic-unit cycle
 	}
 	n, h := int64(c.inputSize), int64(c.hiddenSize)
-	c.chargeMACs(KernHiddenPass, n*h)
+	c.charge(KernHiddenPass)
 	c.prof.access(BankX, BankWrite, n)
 	c.prof.access(BankX, BankRead, n*h)
 	c.prof.access(BankAlpha, BankRead, n*h)
@@ -335,11 +345,11 @@ func (c *Core) Predict(x []fixed.Fixed) []fixed.Fixed {
 
 func (c *Core) predict(beta *fixed.Matrix, x []fixed.Fixed) []fixed.Fixed {
 	c.acct = c.acctPredict
-	c.enterModule(ProfPredict)
+	c.enterModule(KernelPredict, ProfPredict)
 	c.hidden(x)
 	c.hBeta(beta, c.out)
 	hn, m := int64(c.hiddenSize), int64(c.outputSize)
-	c.chargeMACs(KernResidual, m*hn)
+	c.charge(KernResidual)
 	c.prof.access(BankH, BankRead, m*hn)
 	c.prof.access(BankBeta, BankRead, m*hn)
 	return c.out
@@ -419,7 +429,7 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 		panic(fmt.Sprintf("fpga: target length %d, core expects %d", len(t), c.outputSize))
 	}
 	c.acct = c.acctSeq
-	c.enterModule(ProfSeqTrain)
+	c.enterModule(KernelSeqTrain, ProfSeqTrain)
 	c.hidden(x)
 	n := int64(c.hiddenSize)
 	nn := n * n
@@ -428,34 +438,33 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	for i := range c.ph {
 		c.ph[i] = c.acct.DotQ(c.q, 0, c.P.Row(i), c.h)
 	}
-	c.chargeMACs(KernPH, nn)
+	c.charge(KernPH)
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankH, BankRead, nn)
 	c.prof.access(BankPH, BankWrite, n)
 
 	// denom = 1 + h·ph ; s = 1/denom (the gain kernel's scalar path).
-	// The denominator MACs are charged before the guard check so a
+	// The denominator step is charged before the guard check so a
 	// rejected update's attribution still covers exactly the work that ran.
 	denom := c.acct.DotQ(c.q, c.one, c.h, c.ph)
-	c.chargeMACs(KernGain, n)
+	c.charge(KernGain)
 	c.prof.access(BankH, BankRead, n)
 	c.prof.access(BankPH, BankRead, n)
 	if denom < c.denomFloor {
 		// Guard bail: the FSM stops here, so only the work that actually
 		// ran is charged — the attribution invariant holds for rejected
-		// updates too (the analytic SeqTrainKernelCycles describes the
-		// full, accepted update).
+		// updates too (AnalyticKernelCosts describes the full, accepted
+		// update).
 		c.denomGuardTrips++
 		return
 	}
 	s := c.acct.DivQ(c.q, c.one, denom)
-	c.charge(KernGain, UnitDiv, 1)
 
 	// g = s·ph (the Kalman-style gain, reused for both P and β updates)
 	for i, v := range c.ph {
 		c.g[i] = c.acct.MulQ(c.q, s, v)
 	}
-	c.charge(KernGain, UnitMul, n)
+	c.charge(kernGainScale)
 	c.prof.access(BankPH, BankRead, n)
 
 	// P ← P − g·phᵀ. The transposed copy (Pt bank) is written alongside
@@ -464,7 +473,7 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	for i, gi := range c.g {
 		c.acct.SubScaledQ(c.q, c.P.Row(i), gi, c.ph)
 	}
-	c.chargeMACs(KernDowndate, nn)
+	c.charge(KernDowndate)
 	c.prof.access(BankP, BankRead, nn)
 	c.prof.access(BankPH, BankRead, nn)
 	c.prof.access(BankP, BankWrite, nn)
@@ -480,12 +489,9 @@ func (c *Core) SeqTrain(x []fixed.Fixed, t []fixed.Fixed) {
 	for j, gj := range c.g {
 		c.acct.AddScaledQ(c.q, c.Beta.Row(j), gj, c.e)
 	}
-	m := int64(c.outputSize)
-	mn := m * n
-	c.chargeMACs(KernResidual, mn)
-	// The residual's e = t − pred subtract: one extra add-unit op per output.
-	c.charge(KernResidual, UnitAdd, m)
-	c.chargeMACs(KernBetaUpdate, mn)
+	mn := int64(c.outputSize) * n
+	c.charge(KernResidual)
+	c.charge(KernBetaUpdate)
 	c.prof.access(BankH, BankRead, mn)
 	c.prof.access(BankBeta, BankRead, 2*mn) // residual read + update read-modify-write
 	c.prof.access(BankBeta, BankWrite, mn)
@@ -502,60 +508,6 @@ func (c *Core) SeqTrainFloat(x []float64, t []float64) {
 		tt[i] = c.q.FromFloat(v)
 	}
 	c.SeqTrain(in, tt)
-}
-
-// PredictCycles returns the analytic cycle count of one predict call,
-// which must match what the simulator actually counts (asserted in tests).
-func (c *Core) PredictCycles() int64 {
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	hiddenOps := h * n * (c.model.Add + c.model.Mul)
-	outOps := m * h * (c.model.Add + c.model.Mul)
-	return c.model.InvokeOverhead + hiddenOps + outOps
-}
-
-// SeqTrainCycles returns the analytic cycle count of one seq_train call.
-func (c *Core) SeqTrainCycles() int64 {
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	am := c.model.Add + c.model.Mul
-	hiddenOps := h * n * am
-	phOps := h * h * am
-	denomOps := h * am
-	divOps := c.model.Div
-	gainOps := h * c.model.Mul
-	pOps := h * h * am
-	betaOps := m * (h*am + c.model.Add + h*am)
-	return c.model.InvokeOverhead + hiddenOps + phOps + denomOps + divOps + gainOps + pOps + betaOps
-}
-
-// PredictKernelCycles returns the analytic per-kernel breakdown of one
-// predict call, indexed by ProfKernel. The entries sum to
-// PredictCycles() and match what the profiler measures (prof_test.go
-// asserts both, for every QFormat and hidden size).
-func (c *Core) PredictKernelCycles() [NumProfKernels]int64 {
-	var out [NumProfKernels]int64
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	am := c.model.Add + c.model.Mul
-	out[KernOverhead] = c.model.InvokeOverhead
-	out[KernHiddenPass] = h * n * am
-	out[KernResidual] = m * h * am // the y = h·β output pass
-	return out
-}
-
-// SeqTrainKernelCycles returns the analytic per-kernel breakdown of one
-// complete (not guard-rejected) seq_train call, indexed by ProfKernel.
-// The entries sum to SeqTrainCycles().
-func (c *Core) SeqTrainKernelCycles() [NumProfKernels]int64 {
-	var out [NumProfKernels]int64
-	n, h, m := int64(c.inputSize), int64(c.hiddenSize), int64(c.outputSize)
-	am := c.model.Add + c.model.Mul
-	out[KernOverhead] = c.model.InvokeOverhead
-	out[KernHiddenPass] = h * n * am
-	out[KernPH] = h * h * am
-	out[KernGain] = h*am + c.model.Div + h*c.model.Mul // denom + divide + g = s·ph
-	out[KernDowndate] = h * h * am
-	out[KernResidual] = m * (h*am + c.model.Add) // h·β dot + the e = t − pred subtract
-	out[KernBetaUpdate] = m * h * am
-	return out
 }
 
 // BRAMWords returns the number of 32-bit words of on-chip state the core

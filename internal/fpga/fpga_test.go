@@ -83,31 +83,13 @@ func TestSeqTrainTracksFloat(t *testing.T) {
 	}
 }
 
-// TestCycleCountsMatchAnalytic: the simulator's counted cycles must equal
-// the closed-form PredictCycles/SeqTrainCycles formulas exactly.
-func TestCycleCountsMatchAnalytic(t *testing.T) {
-	for _, hidden := range []int{8, 32, 64} {
-		c := NewCore(5, hidden, 1, DefaultCycleModel())
-		x := make([]fixed.Fixed, 5)
-		c.ResetCycles()
-		c.Predict(x)
-		if got, want := c.Cycles(), c.PredictCycles(); got != want {
-			t.Errorf("hidden=%d: predict cycles %d, analytic %d", hidden, got, want)
-		}
-		c.ResetCycles()
-		c.SeqTrain(x, []fixed.Fixed{0})
-		if got, want := c.Cycles(), c.SeqTrainCycles(); got != want {
-			t.Errorf("hidden=%d: seq_train cycles %d, analytic %d", hidden, got, want)
-		}
-	}
-}
-
 // TestSeqTrainCyclesQuadratic: doubling Ñ must roughly quadruple seq_train
 // cycles (the paper's §4.4 growth argument).
 func TestSeqTrainCyclesQuadratic(t *testing.T) {
-	c32 := NewCore(5, 32, 1, DefaultCycleModel()).SeqTrainCycles()
-	c64 := NewCore(5, 64, 1, DefaultCycleModel()).SeqTrainCycles()
-	c128 := NewCore(5, 128, 1, DefaultCycleModel()).SeqTrainCycles()
+	seq := func(hidden int) int64 {
+		return AnalyticKernelCosts(5, hidden, 1, DefaultCycleModel())[KernelSeqTrain]
+	}
+	c32, c64, c128 := seq(32), seq(64), seq(128)
 	if r := float64(c64) / float64(c32); r < 3 || r > 4.5 {
 		t.Errorf("32→64 cycle ratio %v", r)
 	}
@@ -243,7 +225,7 @@ func TestAgentLifecycle(t *testing.T) {
 	if a.Counters().Calls(timing.PhaseSeqTrain) != 1 {
 		t.Error("seq_train not counted")
 	}
-	if a.Counters().Work(timing.PhaseSeqTrain) < float64(a.Core().SeqTrainCycles()) {
+	if a.Counters().Work(timing.PhaseSeqTrain) < float64(a.Core().KernelCosts()[KernelSeqTrain]) {
 		t.Error("seq_train work must include the core's cycles")
 	}
 }
@@ -406,17 +388,11 @@ func TestAgentGreedyActionAndAccessors(t *testing.T) {
 }
 
 // TestPipelinedCycleModel: the II=1 MAC pipeline roughly halves seq_train
-// cycles versus the non-pipelined model, and the simulator still matches
-// its analytic formulas exactly.
+// cycles versus the non-pipelined model.
 func TestPipelinedCycleModel(t *testing.T) {
-	seq := NewCore(5, 64, 1, DefaultCycleModel())
-	pipe := NewCore(5, 64, 1, PipelinedCycleModel())
-	x := make([]fixed.Fixed, 5)
-	pipe.SeqTrain(x, []fixed.Fixed{0})
-	if got, want := pipe.Cycles(), pipe.SeqTrainCycles(); got != want {
-		t.Fatalf("pipelined counted %d, analytic %d", got, want)
-	}
-	ratio := float64(seq.SeqTrainCycles()) / float64(pipe.SeqTrainCycles())
+	seq := AnalyticKernelCosts(5, 64, 1, DefaultCycleModel())[KernelSeqTrain]
+	pipe := AnalyticKernelCosts(5, 64, 1, PipelinedCycleModel())[KernelSeqTrain]
+	ratio := float64(seq) / float64(pipe)
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Errorf("pipeline speedup = %vx, want ~2x", ratio)
 	}

@@ -6,9 +6,9 @@ import "oselmrl/internal/timing"
 // kernel boundary — the unit of work a dispatcher hands to a core. The
 // fleet simulator (internal/fleet) schedules Kernels and charges their
 // cycle cost without re-executing the fixed-point arithmetic; the cost
-// comes from the same analytic formulas the Prof invariant pins against
-// the executed datapath (PredictCycles/SeqTrainCycles), so simulated
-// fleet time and executed single-core time agree cycle-exactly.
+// comes from AnalyticKernelCosts, which sums the same schedule the
+// executed datapath charges from, so simulated fleet time and executed
+// single-core time agree cycle-exactly.
 //
 // Kernel is the module-level boundary (one AXI invocation); ProfKernel
 // is the finer intra-module attribution (hidden_pass, gain, ...) inside
@@ -52,39 +52,67 @@ func (k Kernel) Phase() timing.Phase {
 // Kernel.
 type KernelCosts [NumKernels]int64
 
-// Cycles returns the cost of one invocation of k.
-func (kc KernelCosts) Cycles(k Kernel) int64 { return kc[k] }
-
-// KernelCycles returns the analytic cycle cost of one invocation of k on
-// this core — the kernel-boundary interface the fleet simulator charges
-// time through. It equals what executing the kernel on the datapath
-// counts (asserted by the Prof invariant tests and the fleet N=1
-// property test).
-func (c *Core) KernelCycles(k Kernel) int64 {
-	if k == KernelSeqTrain {
-		return c.SeqTrainCycles()
-	}
-	return c.PredictCycles()
-}
-
 // KernelCosts returns the core's full kernel → cycle-cost table.
 func (c *Core) KernelCosts() KernelCosts {
-	return KernelCosts{
-		KernelPredict:  c.PredictCycles(),
-		KernelSeqTrain: c.SeqTrainCycles(),
-	}
+	return AnalyticKernelCosts(c.inputSize, c.hiddenSize, c.outputSize, c.model)
 }
 
 // AnalyticKernelCosts returns the kernel cost table for a core of the
-// given dimensions without allocating its BRAM state — the cycle
-// formulas depend only on dimensions and the cycle model (they are
-// QFormat-invariant: only the binary point moves, not the operation
-// schedule).
+// given dimensions without allocating its BRAM state: the sum of the
+// module's schedule priced under model. It equals what executing the
+// kernel on the datapath counts, since the core charges from the same
+// schedule. There is no QFormat argument: only the binary point moves
+// between formats, not the operation schedule.
 func AnalyticKernelCosts(inputSize, hiddenSize, outputSize int, model CycleModel) KernelCosts {
-	n, h, m := int64(inputSize), int64(hiddenSize), int64(outputSize)
-	am := model.Add + model.Mul
-	predict := model.InvokeOverhead + h*n*am + m*h*am
-	seq := model.InvokeOverhead + h*n*am + h*h*am + h*am + model.Div +
-		h*model.Mul + h*h*am + m*(h*am+model.Add+h*am)
-	return KernelCosts{KernelPredict: predict, KernelSeqTrain: seq}
+	var kc KernelCosts
+	for k := range kc {
+		for _, ops := range schedule(Kernel(k), int64(inputSize), int64(hiddenSize), int64(outputSize)) {
+			_, cyc := model.price(ops)
+			kc[k] += cyc
+		}
+	}
+	return kc
+}
+
+// unitOps counts operations (or their cycles) per datapath unit, indexed
+// by ProfUnit.
+type unitOps [NumProfUnits]int64
+
+// macs is n multiply-accumulates: n adds and n muls through the shared
+// units.
+func macs(n int64) unitOps { return unitOps{UnitAdd: n, UnitMul: n} }
+
+// kernGainScale is the schedule's extra row: the gain kernel's divide
+// and scaling (s = 1/denom, g = s·ph), charged after the denominator
+// guard and attributed to KernGain. Row KernGain holds the denominator
+// 1 + h·ph, charged before the guard, so a rejected update charges
+// exactly the work that ran.
+const kernGainScale ProfKernel = NumProfKernels
+
+// scheduleRows sizes the schedule: one row per ProfKernel plus
+// kernGainScale.
+const scheduleRows = NumProfKernels + 1
+
+// schedule is the device cycle model's operation schedule, and the only
+// place it is written: the per-unit operation counts of every kernel
+// step of one invocation of module k on a core with n inputs, h hidden
+// units and m outputs, indexed by ProfKernel (plus kernGainScale).
+// Kernels a module does not run are zero. The core prices it once
+// (NewCoreQ) and charges one row per kernel; AnalyticKernelCosts sums it.
+func schedule(k Kernel, n, h, m int64) [scheduleRows]unitOps {
+	var s [scheduleRows]unitOps
+	s[KernOverhead][UnitInvoke] = 1
+	s[KernHiddenPass] = macs(n * h)
+	if k == KernelPredict {
+		s[KernResidual] = macs(m * h) // the y = h·β output pass
+		return s
+	}
+	s[KernPH] = macs(h * h)
+	s[KernGain] = macs(h)
+	s[kernGainScale] = unitOps{UnitMul: h, UnitDiv: 1}
+	s[KernDowndate] = macs(h * h)
+	// h·β plus the e = t − h·β subtract: one extra add per output.
+	s[KernResidual] = unitOps{UnitAdd: m*h + m, UnitMul: m * h}
+	s[KernBetaUpdate] = macs(m * h)
+	return s
 }

@@ -10,14 +10,15 @@ import (
 
 // refCore is the scalar reference datapath: predict and seq_train written
 // as one accounted op at a time over (i, j) element access, each op
-// counting its own cycles. The Core's row kernels must reproduce its words,
-// cycles and accounting counts exactly.
+// counting itself and its cycles on its unit. The Core's row kernels must
+// reproduce its words, per-unit ops and cycles, and accounting counts
+// exactly.
 type refCore struct {
 	alpha, beta, p *fixed.Matrix
 	bias           []fixed.Fixed
 	q              fixed.QFormat
 	model          CycleModel
-	cycles         int64
+	ops, cyc       unitOps
 	acct           *fixed.Acct
 	trips          int64
 }
@@ -30,15 +31,37 @@ func newRefCore(c *Core) *refCore {
 	}
 }
 
-func (r *refCore) add(a, b fixed.Fixed) fixed.Fixed { r.cycles += r.model.Add; return r.acct.Add(a, b) }
-func (r *refCore) sub(a, b fixed.Fixed) fixed.Fixed { r.cycles += r.model.Add; return r.acct.Sub(a, b) }
+// count books one op on unit u taking lat cycles.
+func (r *refCore) count(u ProfUnit, lat int64) {
+	r.ops[u]++
+	r.cyc[u] += lat
+}
+
+func (r *refCore) cycles() int64 {
+	var t int64
+	for _, c := range r.cyc {
+		t += c
+	}
+	return t
+}
+
+func (r *refCore) add(a, b fixed.Fixed) fixed.Fixed {
+	r.count(UnitAdd, r.model.Add)
+	return r.acct.Add(a, b)
+}
+
+func (r *refCore) sub(a, b fixed.Fixed) fixed.Fixed {
+	r.count(UnitAdd, r.model.Add)
+	return r.acct.Sub(a, b)
+}
+
 func (r *refCore) mul(a, b fixed.Fixed) fixed.Fixed {
-	r.cycles += r.model.Mul
+	r.count(UnitMul, r.model.Mul)
 	return r.acct.MulQ(r.q, a, b)
 }
 
 func (r *refCore) hidden(x []fixed.Fixed) []fixed.Fixed {
-	r.cycles += r.model.InvokeOverhead
+	r.count(UnitInvoke, r.model.InvokeOverhead)
 	h := make([]fixed.Fixed, r.alpha.Cols())
 	for j := range h {
 		acc := r.bias[j]
@@ -78,7 +101,7 @@ func (r *refCore) seqTrain(x, t []fixed.Fixed) {
 		r.trips++
 		return
 	}
-	r.cycles += r.model.Div
+	r.count(UnitDiv, r.model.Div)
 	s := r.acct.DivQ(r.q, r.q.One(), denom)
 	g := make([]fixed.Fixed, n)
 	for i := range g {
@@ -114,9 +137,10 @@ func sameWords(a, b *fixed.Matrix) bool {
 
 // TestCoreMatchesScalarReference drives the Core and the scalar reference
 // with the same random parameters and inputs — several outputs wide, in
-// each sweep format, with P scaled up until updates saturate and trip the
-// denominator guard — and requires identical outputs, BRAM words, cycles,
-// guard trips and accounting counts.
+// each sweep format and cycle model, with P scaled up until updates
+// saturate and trip the denominator guard — and requires identical
+// outputs, BRAM words, per-unit ops and cycles (from the core's profile),
+// guard trips and accounting counts after every step.
 //
 // QuantErrAbs is compared within a bound, not exactly: the row kernels
 // visit the hidden pass input-major and the reference hidden-major, and
@@ -125,13 +149,20 @@ func sameWords(a, b *fixed.Matrix) bool {
 // float64 sum of N nonnegative terms is within (N−1)·2⁻⁵³ of the exact sum
 // relative to it, so two orders differ by at most 2·N·2⁻⁵³ of the total.
 func TestCoreMatchesScalarReference(t *testing.T) {
+	for _, model := range []CycleModel{DefaultCycleModel(), PipelinedCycleModel()} {
+		testCoreMatchesScalarReference(t, model)
+	}
+}
+
+func testCoreMatchesScalarReference(t *testing.T, model CycleModel) {
 	r := rand.New(rand.NewSource(7))
 	trips := int64(0)
 	for _, q := range []fixed.QFormat{fixed.Q16, fixed.Q20, fixed.Q24} {
 		for _, dims := range [][3]int{{5, 8, 1}, {3, 6, 3}, {4, 16, 2}} {
 			in, hid, out := dims[0], dims[1], dims[2]
-			c := NewCoreQ(in, hid, out, DefaultCycleModel(), q)
+			c := NewCoreQ(in, hid, out, model, q)
 			c.EnableAccounting()
+			c.EnableProfiling()
 			word := func(scale float64) fixed.Fixed { return q.FromFloat(scale * (2*r.Float64() - 1)) }
 			for i := 0; i < in; i++ {
 				for j := 0; j < hid; j++ {
@@ -180,9 +211,15 @@ func TestCoreMatchesScalarReference(t *testing.T) {
 				if !sameWords(c.P, ref.p) || !sameWords(c.Beta, ref.beta) {
 					t.Fatalf("%v %v step %d: BRAM words diverged from the reference", q, dims, step)
 				}
-				if c.Cycles() != ref.cycles || c.DenomGuardTrips() != ref.trips {
-					t.Fatalf("%v %v step %d: cycles %d trips %d, reference %d and %d",
-						q, dims, step, c.Cycles(), c.DenomGuardTrips(), ref.cycles, ref.trips)
+				if c.Cycles() != ref.cycles() || c.DenomGuardTrips() != ref.trips {
+					t.Fatalf("%+v %v %v step %d: cycles %d trips %d, reference %d and %d",
+						model, q, dims, step, c.Cycles(), c.DenomGuardTrips(), ref.cycles(), ref.trips)
+				}
+				for u := ProfUnit(0); u < NumProfUnits; u++ {
+					if ops, cyc := c.Prof().UnitOps(u), c.Prof().UnitCycles(u); ops != ref.ops[u] || cyc != ref.cyc[u] {
+						t.Fatalf("%+v %v %v step %d: unit %v ran %d ops in %d cycles, reference %d in %d",
+							model, q, dims, step, u, ops, cyc, ref.ops[u], ref.cyc[u])
+					}
 				}
 			}
 			var got fixed.Acct
@@ -202,6 +239,6 @@ func TestCoreMatchesScalarReference(t *testing.T) {
 		}
 	}
 	if trips == 0 {
-		t.Error("no update tripped the denominator guard")
+		t.Errorf("%+v: no update tripped the denominator guard", model)
 	}
 }

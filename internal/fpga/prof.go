@@ -9,12 +9,11 @@ package fpga
 //
 // The load-bearing invariant: the sum of all attributed cycles equals
 // Core.Cycles() exactly — Core.charge is the one place cycles are
-// counted, and it feeds the counter and the profiler together — and, for
-// complete module invocations, the per-kernel
-// sums equal the analytic PredictKernelCycles/SeqTrainKernelCycles
-// breakdowns. The profiler is therefore a cross-check on the cycle model
-// itself, not just a lens over it (prof_test.go enforces this across
-// QFormats and hidden sizes).
+// counted, and it feeds the counter and the profiler together. Both
+// charge from the schedule table (kernel.go), so for complete module
+// invocations the per-kernel sums equal that table priced under the
+// cycle model; the scalar reference core (kernel_ref_test.go) checks the
+// per-unit totals against work counted one op at a time.
 //
 // Prof is a plain value type (fixed-size arrays, no pointers): snapshot
 // it with a struct copy, diff snapshots with Delta, compare with ==.
@@ -224,19 +223,20 @@ type Prof struct {
 	bram [NumBanks * NumBankOps]int64
 }
 
-// charge attributes cyc cycles and ops operations to one (phase, kernel,
-// unit) cell. Nil-safe: the disabled profiler costs one pointer
-// comparison. Kernels charge their deterministic loop totals once per
-// invocation (through Core.charge) rather than per elementary op — the
-// loop trip counts are fixed by the core's dimensions, so the
-// attribution is exact.
-func (p *Prof) charge(ph ProfPhase, k ProfKernel, u ProfUnit, cyc, ops int64) {
+// charge attributes per-unit cycles and operations to one (phase,
+// kernel) row. Nil-safe: the disabled profiler costs one pointer
+// comparison. Kernels charge their schedule step once per invocation
+// (through Core.charge) rather than per elementary op — the loop trip
+// counts are fixed by the core's dimensions, so the attribution is exact.
+func (p *Prof) charge(ph ProfPhase, k ProfKernel, cyc, ops *unitOps) {
 	if p == nil {
 		return
 	}
-	idx := profIndex(ph, k, u)
-	p.cycles[idx] += cyc
-	p.ops[idx] += ops
+	base := profIndex(ph, k, 0)
+	for u := range cyc {
+		p.cycles[base+u] += cyc[u]
+		p.ops[base+u] += ops[u]
+	}
 }
 
 // access records n word accesses on one bank port. Nil-safe; callers

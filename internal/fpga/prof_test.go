@@ -15,13 +15,23 @@ func profProbe(q fixed.QFormat, n int) []fixed.Fixed {
 	return x
 }
 
-// TestProfAttributionMatchesAnalytic is the profiler's load-bearing
-// property test: for every QFormat × hidden size × cycle model, the
-// measured per-kernel attribution of one predict and one (accepted)
-// seq_train must equal the analytic PredictKernelCycles /
-// SeqTrainKernelCycles breakdowns exactly, and the total attributed
-// cycles must equal Core.Cycles() — the profiler cross-checks the cycle
-// model, not just samples it.
+// scheduleByKernel folds module k's schedule into per-ProfKernel unit op
+// counts: the kernGainScale row lands in KernGain.
+func scheduleByKernel(k Kernel, n, h, m int) [NumProfKernels]unitOps {
+	s := schedule(k, int64(n), int64(h), int64(m))
+	var out [NumProfKernels]unitOps
+	copy(out[:], s[:])
+	for u, o := range s[kernGainScale] {
+		out[KernGain][u] += o
+	}
+	return out
+}
+
+// TestProfAttributionMatchesAnalytic: for every QFormat × hidden size ×
+// cycle model, one executed predict and one (accepted) seq_train must
+// attribute exactly the schedule table's ops and priced cycles to every
+// (kernel, unit) cell, their phase totals must equal AnalyticKernelCosts,
+// and the total attributed cycles must equal Core.Cycles().
 func TestProfAttributionMatchesAnalytic(t *testing.T) {
 	models := []struct {
 		name  string
@@ -36,40 +46,40 @@ func TestProfAttributionMatchesAnalytic(t *testing.T) {
 				c := NewCoreQ(5, hidden, 1, m.model, q)
 				c.EnableProfiling()
 				x := profProbe(q, 5)
-
-				before := *c.Prof()
-				c.Predict(x)
-				d := c.Prof().Delta(before)
-				want := c.PredictKernelCycles()
-				for k := ProfKernel(0); k < NumProfKernels; k++ {
-					if got := d.KernelCycles(ProfPredict, k); got != want[k] {
-						t.Errorf("%s/%v/h=%d: predict kernel %v = %d cycles, analytic %d",
-							m.name, q, hidden, k, got, want[k])
+				costs := AnalyticKernelCosts(5, hidden, 1, m.model)
+				for _, mod := range []struct {
+					k  Kernel
+					ph ProfPhase
+				}{{KernelPredict, ProfPredict}, {KernelSeqTrain, ProfSeqTrain}} {
+					before := *c.Prof()
+					if mod.k == KernelPredict {
+						c.Predict(x)
+					} else {
+						c.SeqTrain(x, []fixed.Fixed{q.FromFloat(0.25)})
+					}
+					if c.DenomGuardTrips() != 0 {
+						t.Fatalf("%s/%v/h=%d: probe update tripped the guard", m.name, q, hidden)
+					}
+					d := c.Prof().Delta(before)
+					want := scheduleByKernel(mod.k, 5, hidden, 1)
+					for k := ProfKernel(0); k < NumProfKernels; k++ {
+						wantCyc, _ := m.model.price(want[k])
+						for u := ProfUnit(0); u < NumProfUnits; u++ {
+							if got := d.Ops(mod.ph, k, u); got != want[k][u] {
+								t.Errorf("%s/%v/h=%d: %v %v/%v = %d ops, table %d",
+									m.name, q, hidden, mod.k, k, u, got, want[k][u])
+							}
+							if got := d.Cycles(mod.ph, k, u); got != wantCyc[u] {
+								t.Errorf("%s/%v/h=%d: %v %v/%v = %d cycles, table %d",
+									m.name, q, hidden, mod.k, k, u, got, wantCyc[u])
+							}
+						}
+					}
+					if got := d.TotalCycles(); got != costs[mod.k] {
+						t.Errorf("%s/%v/h=%d: %v attributed %d cycles, AnalyticKernelCosts %d",
+							m.name, q, hidden, mod.k, got, costs[mod.k])
 					}
 				}
-				if got := d.TotalCycles(); got != c.PredictCycles() {
-					t.Errorf("%s/%v/h=%d: predict attributed %d cycles, analytic %d",
-						m.name, q, hidden, got, c.PredictCycles())
-				}
-
-				before = *c.Prof()
-				c.SeqTrain(x, []fixed.Fixed{q.FromFloat(0.25)})
-				if c.DenomGuardTrips() != 0 {
-					t.Fatalf("%s/%v/h=%d: probe update tripped the guard", m.name, q, hidden)
-				}
-				d = c.Prof().Delta(before)
-				want = c.SeqTrainKernelCycles()
-				for k := ProfKernel(0); k < NumProfKernels; k++ {
-					if got := d.KernelCycles(ProfSeqTrain, k); got != want[k] {
-						t.Errorf("%s/%v/h=%d: seq_train kernel %v = %d cycles, analytic %d",
-							m.name, q, hidden, k, got, want[k])
-					}
-				}
-				if got := d.TotalCycles(); got != c.SeqTrainCycles() {
-					t.Errorf("%s/%v/h=%d: seq_train attributed %d cycles, analytic %d",
-						m.name, q, hidden, got, c.SeqTrainCycles())
-				}
-
 				// Whole-run invariant: every counted cycle is attributed.
 				if got, cyc := c.Prof().TotalCycles(), c.Cycles(); got != cyc {
 					t.Errorf("%s/%v/h=%d: ΣProf = %d, Cycles() = %d",

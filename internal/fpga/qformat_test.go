@@ -63,24 +63,23 @@ func TestGoldenQ20ViaNewCoreQ(t *testing.T) {
 				t.Errorf("%v: P[%d][%d] = %d, want golden %d", q, i, i, got, wantPDiag[i])
 			}
 		}
-		if got := core.Cycles(); got != core.PredictCycles()+core.SeqTrainCycles() {
+		kc := core.KernelCosts()
+		if got := core.Cycles(); got != kc[KernelPredict]+kc[KernelSeqTrain] {
 			t.Errorf("%v: cycles = %d", q, got)
 		}
 	}
 }
 
 // TestFormatInvariants asserts what the format must NOT change: storage
-// words, analytic cycle counts, the BRAM inventory's word widths and the
-// Table 3 resource estimate are identical at every sweep format.
+// words, the BRAM inventory's word widths and the Table 3 resource
+// estimate are identical at every sweep format. (The cycle schedule takes
+// no format at all.)
 func TestFormatInvariants(t *testing.T) {
 	ref := NewCore(5, 32, 1, DefaultCycleModel())
 	for _, q := range []fixed.QFormat{fixed.Q16, fixed.Q20, fixed.Q24} {
 		c := NewCoreQ(5, 32, 1, DefaultCycleModel(), q)
 		if c.BRAMWords() != ref.BRAMWords() {
 			t.Errorf("%v: BRAMWords = %d, want %d", q, c.BRAMWords(), ref.BRAMWords())
-		}
-		if c.PredictCycles() != ref.PredictCycles() || c.SeqTrainCycles() != ref.SeqTrainCycles() {
-			t.Errorf("%v: cycle model changed with format", q)
 		}
 	}
 	for _, a := range CoreArrays(5, 32) {

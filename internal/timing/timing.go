@@ -198,11 +198,12 @@ var (
 // Breakdown maps phases to modelled seconds.
 type Breakdown map[Phase]float64
 
-// Total returns the sum over phases.
+// Total returns the sum over phases, added in AllPhases order so the
+// result is the same float64 on every call (map iteration order is not).
 func (b Breakdown) Total() float64 {
 	var s float64
-	for _, v := range b {
-		s += v
+	for _, p := range AllPhases {
+		s += b[p]
 	}
 	return s
 }

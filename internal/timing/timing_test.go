@@ -71,6 +71,22 @@ func TestModelBreakdown(t *testing.T) {
 	}
 }
 
+// TestBreakdownTotalDeterministic: Total is the phase-order sum, bit for
+// bit, on every call. 0.1 + 0.2 + 0.3 rounds differently in different
+// orders, so a sum in map-iteration order would return two values.
+func TestBreakdownTotalDeterministic(t *testing.T) {
+	b := Breakdown{PhaseSeqTrain: 0.1, PhasePredictSeq: 0.2, PhaseInitTrain: 0.3}
+	var want float64
+	for _, p := range AllPhases {
+		want += b[p]
+	}
+	for i := 0; i < 200; i++ {
+		if got := b.Total(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Total() = %v, phase-order sum %v", i, got, want)
+		}
+	}
+}
+
 func TestModelMixed(t *testing.T) {
 	c := NewCounters()
 	c.Add(PhaseSeqTrain, 125e6)  // cycles
