@@ -22,7 +22,6 @@ import (
 	"oselmrl/internal/fpga"
 	"oselmrl/internal/harness"
 	"oselmrl/internal/mat"
-	"oselmrl/internal/onlad"
 	"oselmrl/internal/oselm"
 	"oselmrl/internal/qnet"
 	"oselmrl/internal/replay"
@@ -744,27 +743,6 @@ func BenchmarkForgettingKernel(b *testing.B) {
 		}
 		b.ReportMetric(g, "mean_eigenvalue")
 	})
-}
-
-// BenchmarkONLADUpdate measures the reference-[3] substrate's on-device
-// adaptation step (an autoencoder rank-1 update plus scoring).
-func BenchmarkONLADUpdate(b *testing.B) {
-	cfg := onlad.DefaultConfig(8, 32)
-	det := onlad.MustNew(cfg)
-	r := rng.New(1)
-	calib := mat.Zeros(64, 8)
-	r.FillUniform(calib.RawData(), -1, 1)
-	if err := det.Fit(calib); err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, 8)
-	r.FillUniform(x, -1, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := det.UpdateIfNormal(x); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkBatchSizeAblation quantifies the paper's §2.2 design choice of

@@ -58,8 +58,12 @@ import (
 	"time"
 
 	"oselmrl/internal/obs/slo"
+	"oselmrl/internal/stats"
 )
 
+// report summarizes one run. P50MS, P95MS and P99MS are
+// stats.Percentile over the successful requests' latencies, linearly
+// interpolated between order statistics.
 type report struct {
 	Requests   int     `json:"requests"`
 	Errors     int     `json:"errors"`
@@ -343,9 +347,9 @@ func runPass(client *http.Client, targets []target, duration time.Duration, conc
 		rep.QPS = float64(len(lats)) / elapsed
 	}
 	if len(lats) > 0 {
-		rep.P50MS = quantile(lats, 0.50)
-		rep.P95MS = quantile(lats, 0.95)
-		rep.P99MS = quantile(lats, 0.99)
+		rep.P50MS = stats.Percentile(lats, 50)
+		rep.P95MS = stats.Percentile(lats, 95)
+		rep.P99MS = stats.Percentile(lats, 99)
 		rep.MaxMS = lats[len(lats)-1]
 	}
 	return rep
@@ -543,18 +547,6 @@ func probeState(client *http.Client, infoURL, flagVal string) ([]float64, error)
 		return nil, fmt.Errorf("loadgen: %s reports observation_size %d", infoURL, info.ObservationSize)
 	}
 	return make([]float64, info.ObservationSize), nil
-}
-
-// quantile returns the p-quantile of sorted values by nearest-rank.
-func quantile(sorted []float64, p float64) float64 {
-	i := int(p*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 func fail(err error) int {

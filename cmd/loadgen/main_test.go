@@ -153,16 +153,3 @@ func TestParseServerTiming(t *testing.T) {
 		}
 	}
 }
-
-func TestQuantileNearestRank(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if q := quantile(sorted, 0.5); q != 5 {
-		t.Errorf("p50 = %g", q)
-	}
-	if q := quantile(sorted, 0.99); q != 10 {
-		t.Errorf("p99 = %g", q)
-	}
-	if q := quantile(sorted[:1], 0.5); q != 1 {
-		t.Errorf("single-element p50 = %g", q)
-	}
-}

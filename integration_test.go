@@ -2,7 +2,14 @@ package oselmrl_test
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"oselmrl"
@@ -170,5 +177,66 @@ func TestSevenDesignsRunConcurrently(t *testing.T) {
 		if r.Episodes != 30 {
 			t.Errorf("trial %d episodes = %d", i, r.Episodes)
 		}
+	}
+}
+
+// TestEveryInternalPackageHasAnImporter keeps dead packages from coming
+// back: every package under internal/ must be imported by some non-test
+// file outside its own directory and outside examples/. A package whose
+// only users are its own tests or an example is a feature nothing
+// depends on.
+func TestEveryInternalPackageHasAnImporter(t *testing.T) {
+	const module = "oselmrl/"
+	pkgs := map[string]bool{}     // internal/... dirs holding non-test Go files
+	imported := map[string]bool{} // internal/... dirs imported from elsewhere
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || path == "examples") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			ip, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if target := strings.TrimPrefix(ip, module); target != ip && target != dir {
+				imported[target] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("found no internal packages; run from the module root")
+	}
+	var dead []string
+	for pkg := range pkgs {
+		if !imported[pkg] {
+			dead = append(dead, pkg)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("no non-test importer outside itself and examples/ (delete or use them): %s", strings.Join(dead, ", "))
 	}
 }

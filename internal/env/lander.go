@@ -176,7 +176,7 @@ func (l *Lander) SetState(x, y, vx, vy, angle, vAngle float64) {
 // Stepping into the cliff costs -100 and teleports back to the start;
 // every other move costs -1. It is the classic task separating Q-learning
 // (optimal, risky path) from SARSA (safe path), used here to exercise the
-// tabular reference and the Q-network agents on a sparse-penalty task.
+// Q-network agents on a sparse-penalty task.
 //
 // Observation: [row/3, col/11]. Actions: 0 up, 1 right, 2 down, 3 left.
 type CliffWalk struct {

@@ -124,84 +124,6 @@ func SolveCholesky(a, b *Dense) (*Dense, error) {
 	return x, nil
 }
 
-// QR holds a thin Householder QR decomposition a = Q·R with Q m×n
-// orthonormal columns (m >= n) and R n×n upper triangular.
-type QR struct {
-	Q *Dense
-	R *Dense
-}
-
-// QRDecompose computes a thin QR factorization via Householder reflections.
-func QRDecompose(a *Dense) (*QR, error) {
-	m, n := a.rows, a.cols
-	if m < n {
-		return nil, fmt.Errorf("%w: QR needs rows >= cols, got %dx%d", ErrShape, m, n)
-	}
-	r := a.Clone()
-	// Accumulate Q as a full m×m product, then trim to m×n.
-	q := Eye(m)
-	v := make([]float64, m)
-	for k := 0; k < n; k++ {
-		// Householder vector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			norm += r.At(i, k) * r.At(i, k)
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		alpha := -math.Copysign(norm, r.At(k, k))
-		var vnorm2 float64
-		for i := k; i < m; i++ {
-			v[i] = r.At(i, k)
-			if i == k {
-				v[i] -= alpha
-			}
-			vnorm2 += v[i] * v[i]
-		}
-		if vnorm2 == 0 {
-			continue
-		}
-		// Apply H = I - 2 v vᵀ / (vᵀv) to R (columns k..n-1).
-		for j := k; j < n; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i] * r.At(i, j)
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r.Set(i, j, r.At(i, j)-f*v[i])
-			}
-		}
-		// Accumulate into Q: Q = Q·H.
-		for i := 0; i < m; i++ {
-			var dot float64
-			for l := k; l < m; l++ {
-				dot += q.At(i, l) * v[l]
-			}
-			f := 2 * dot / vnorm2
-			for l := k; l < m; l++ {
-				q.Set(i, l, q.At(i, l)-f*v[l])
-			}
-		}
-	}
-	// Trim to thin form.
-	qt := Zeros(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			qt.Set(i, j, q.At(i, j))
-		}
-	}
-	rt := Zeros(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rt.Set(i, j, r.At(i, j))
-		}
-	}
-	return &QR{Q: qt, R: rt}, nil
-}
-
 // SVD holds a thin singular value decomposition a = U·diag(S)·Vᵀ where U is
 // m×r, S has r = min(m,n) entries in descending order, and V is n×r.
 type SVD struct {
@@ -381,21 +303,4 @@ func LargestSingularValue(a *Dense, iters int, seedVec []float64) float64 {
 		sigma = next
 	}
 	return sigma
-}
-
-// ConditionNumber returns σmax/σmin from a full SVD.
-func ConditionNumber(a *Dense) (float64, error) {
-	sv, err := SVDDecompose(a)
-	if err != nil {
-		return 0, err
-	}
-	n := len(sv.S)
-	if n == 0 {
-		return 0, fmt.Errorf("%w: empty matrix", ErrShape)
-	}
-	smin := sv.S[n-1]
-	if smin == 0 {
-		return math.Inf(1), nil
-	}
-	return sv.S[0] / smin, nil
 }

@@ -119,38 +119,6 @@ func TestSolveCholeskyMatchesInverse(t *testing.T) {
 	}
 }
 
-func TestQRReconstruction(t *testing.T) {
-	r := rng.New(12)
-	for _, dims := range [][2]int{{5, 5}, {10, 4}, {20, 7}} {
-		a := randomMatrix(r, dims[0], dims[1], -3, 3)
-		qr, err := QRDecompose(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(Mul(qr.Q, qr.R), a, 1e-9) {
-			t.Errorf("%v: Q·R != a", dims)
-		}
-		// QᵀQ = I.
-		if !Equal(Mul(qr.Q.T(), qr.Q), Eye(dims[1]), 1e-9) {
-			t.Errorf("%v: Q columns not orthonormal", dims)
-		}
-		// R upper triangular.
-		for i := 1; i < dims[1]; i++ {
-			for j := 0; j < i; j++ {
-				if math.Abs(qr.R.At(i, j)) > 1e-10 {
-					t.Errorf("%v: R(%d,%d) = %v below diagonal", dims, i, j, qr.R.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestQRRejectsWide(t *testing.T) {
-	if _, err := QRDecompose(Zeros(2, 5)); !errors.Is(err, ErrShape) {
-		t.Errorf("expected ErrShape, got %v", err)
-	}
-}
-
 func TestSVDReconstruction(t *testing.T) {
 	r := rng.New(13)
 	for _, dims := range [][2]int{{4, 4}, {8, 3}, {3, 8}, {15, 15}} {
@@ -250,26 +218,6 @@ func TestLargestSingularValueMatchesSVD(t *testing.T) {
 func TestLargestSingularValueZeroMatrix(t *testing.T) {
 	if got := LargestSingularValue(Zeros(4, 4), 50, nil); got != 0 {
 		t.Errorf("σmax of zero matrix = %v", got)
-	}
-}
-
-func TestConditionNumber(t *testing.T) {
-	a := New(2, 2, []float64{10, 0, 0, 2})
-	c, err := ConditionNumber(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(c, 5, 1e-9) {
-		t.Errorf("cond = %v want 5", c)
-	}
-	// Singular matrix: infinite condition number.
-	s := New(2, 2, []float64{1, 1, 1, 1})
-	c, err = ConditionNumber(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(c, 1) {
-		t.Errorf("cond of singular = %v want +Inf", c)
 	}
 }
 

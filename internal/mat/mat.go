@@ -2,9 +2,9 @@
 // the standard library only. It implements everything the OS-ELM
 // reproduction needs: general matrix multiplication (naive, blocked, and
 // goroutine-parallel), transpose, elementwise operations, Gauss-Jordan
-// inversion, Cholesky and QR decompositions, a one-sided Jacobi SVD,
+// inversion, Cholesky decomposition, a one-sided Jacobi SVD,
 // Moore-Penrose pseudo-inverse, power iteration for the largest singular
-// value, and assorted norms.
+// value, a Jacobi symmetric eigensolver, and assorted norms.
 //
 // The package is deliberately small-matrix oriented: OS-ELM works with
 // matrices no larger than a few hundred rows/columns, so clarity and
@@ -79,13 +79,6 @@ func RowVector(v []float64) *Dense {
 	d := make([]float64, len(v))
 	copy(d, v)
 	return New(1, len(v), d)
-}
-
-// ColVector returns an n×1 matrix holding a copy of v.
-func ColVector(v []float64) *Dense {
-	d := make([]float64, len(v))
-	copy(d, v)
-	return New(len(v), 1, d)
 }
 
 // Rows returns the number of rows.
@@ -196,49 +189,12 @@ func Sub(a, b *Dense) *Dense {
 	return out
 }
 
-// AddInPlace sets a = a + b and returns a.
-func AddInPlace(a, b *Dense) *Dense {
-	requireSameShape(a, b)
-	for i := range a.data {
-		a.data[i] += b.data[i]
-	}
-	return a
-}
-
-// SubInPlace sets a = a - b and returns a.
-func SubInPlace(a, b *Dense) *Dense {
-	requireSameShape(a, b)
-	for i := range a.data {
-		a.data[i] -= b.data[i]
-	}
-	return a
-}
-
-// Scale returns s * a as a new matrix.
-func Scale(s float64, a *Dense) *Dense {
-	out := Zeros(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = s * a.data[i]
-	}
-	return out
-}
-
 // ScaleInPlace sets a = s*a and returns a.
 func ScaleInPlace(s float64, a *Dense) *Dense {
 	for i := range a.data {
 		a.data[i] *= s
 	}
 	return a
-}
-
-// Hadamard returns the elementwise product a ∘ b.
-func Hadamard(a, b *Dense) *Dense {
-	requireSameShape(a, b)
-	out := Zeros(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out
 }
 
 // Apply returns a new matrix with f applied to every element of a.
@@ -248,14 +204,6 @@ func Apply(a *Dense, f func(float64) float64) *Dense {
 		out.data[i] = f(a.data[i])
 	}
 	return out
-}
-
-// ApplyInPlace applies f to every element of a and returns a.
-func ApplyInPlace(a *Dense, f func(float64) float64) *Dense {
-	for i := range a.data {
-		a.data[i] = f(a.data[i])
-	}
-	return a
 }
 
 // AddScaledIdentity returns a + s*I for square a.
@@ -395,22 +343,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// OuterProduct returns the rows(a)×rows(b) matrix a bᵀ for column vectors
-// given as slices.
-func OuterProduct(a, b []float64) *Dense {
-	out := Zeros(len(a), len(b))
-	for i, av := range a {
-		if av == 0 {
-			continue
-		}
-		base := i * len(b)
-		for j, bv := range b {
-			out.data[base+j] = av * bv
-		}
-	}
-	return out
 }
 
 // Equal reports whether a and b have the same shape and elements within tol.

@@ -101,16 +101,12 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 	FromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestRowColVector(t *testing.T) {
+func TestRowVector(t *testing.T) {
 	rv := RowVector([]float64{1, 2, 3})
 	if r, c := rv.Dims(); r != 1 || c != 3 {
 		t.Fatalf("RowVector dims %d,%d", r, c)
 	}
-	cv := ColVector([]float64{1, 2, 3})
-	if r, c := cv.Dims(); r != 3 || c != 1 {
-		t.Fatalf("ColVector dims %d,%d", r, c)
-	}
-	// Both copy their input.
+	// RowVector copies its input.
 	src := []float64{9}
 	v := RowVector(src)
 	src[0] = 1
@@ -199,26 +195,12 @@ func TestAddSub(t *testing.T) {
 	}
 }
 
-func TestAddSubInPlace(t *testing.T) {
-	a := New(1, 2, []float64{1, 2})
-	b := New(1, 2, []float64{3, 4})
-	AddInPlace(a, b)
-	if a.At(0, 0) != 4 || a.At(0, 1) != 6 {
-		t.Errorf("AddInPlace = %v", a)
-	}
-	SubInPlace(a, b)
-	if a.At(0, 0) != 1 || a.At(0, 1) != 2 {
-		t.Errorf("SubInPlace = %v", a)
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	a, b := Zeros(2, 2), Zeros(2, 3)
 	for name, f := range map[string]func(){
-		"Add":      func() { Add(a, b) },
-		"Sub":      func() { Sub(a, b) },
-		"Hadamard": func() { Hadamard(a, b) },
-		"Mul":      func() { Mul(b, b) },
+		"Add": func() { Add(a, b) },
+		"Sub": func() { Sub(a, b) },
+		"Mul": func() { Mul(b, b) },
 	} {
 		func() {
 			defer func() {
@@ -233,30 +215,17 @@ func TestShapeMismatchPanics(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	a := New(1, 3, []float64{1, -2, 3})
-	s := Scale(2, a)
-	if s.At(0, 1) != -4 {
-		t.Errorf("Scale = %v", s)
-	}
 	ScaleInPlace(0.5, a)
 	if a.At(0, 2) != 1.5 {
 		t.Errorf("ScaleInPlace = %v", a)
 	}
 }
 
-func TestHadamardAndApply(t *testing.T) {
+func TestApply(t *testing.T) {
 	a := New(1, 3, []float64{1, 2, 3})
-	b := New(1, 3, []float64{4, 5, 6})
-	h := Hadamard(a, b)
-	if h.At(0, 2) != 18 {
-		t.Errorf("Hadamard = %v", h)
-	}
 	sq := Apply(a, func(x float64) float64 { return x * x })
 	if sq.At(0, 2) != 9 {
 		t.Errorf("Apply = %v", sq)
-	}
-	ApplyInPlace(a, func(x float64) float64 { return -x })
-	if a.At(0, 0) != -1 {
-		t.Errorf("ApplyInPlace = %v", a)
 	}
 }
 
@@ -325,7 +294,7 @@ func TestMulVecMatchesMul(t *testing.T) {
 	x := make([]float64, 11)
 	r.FillUniform(x, -3, 3)
 	got := MulVec(a, x)
-	want := Mul(a, ColVector(x))
+	want := Mul(a, New(len(x), 1, x))
 	for i := range got {
 		if !almostEqual(got[i], want.At(i, 0), 1e-12) {
 			t.Fatalf("MulVec[%d] = %v want %v", i, got[i], want.At(i, 0))
@@ -333,16 +302,9 @@ func TestMulVecMatchesMul(t *testing.T) {
 	}
 }
 
-func TestDotAndOuter(t *testing.T) {
+func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v", got)
-	}
-	o := OuterProduct([]float64{1, 2}, []float64{3, 4, 5})
-	if r, c := o.Dims(); r != 2 || c != 3 {
-		t.Fatalf("Outer dims %d,%d", r, c)
-	}
-	if o.At(1, 2) != 10 {
-		t.Errorf("Outer(1,2) = %v", o.At(1, 2))
 	}
 }
 

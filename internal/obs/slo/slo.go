@@ -17,6 +17,8 @@ package slo
 import (
 	"sync"
 	"time"
+
+	"oselmrl/internal/obs"
 )
 
 // Outcome classifies one request for availability accounting.
@@ -142,96 +144,15 @@ func (w *window) sum(now time.Time) (total, slow, avail, bad int64) {
 	return
 }
 
-// hist is an unsynchronized fixed-bucket duration histogram (the engine's
-// lock covers it).
-type hist struct {
-	bounds []float64
-	counts []int64
-	n      int64
-	sum    float64
-	min    float64
-	max    float64
-}
-
-func newHist(bounds []float64) *hist {
-	return &hist{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-}
-
-func (h *hist) observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-}
-
-// quantile estimates the p-quantile by linear interpolation within the
-// buckets, clamped to the observed range (the obs.Histogram scheme).
-func (h *hist) quantile(p float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return h.min
-	}
-	if p >= 1 {
-		return h.max
-	}
-	rank := p * float64(h.n)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		fc := float64(c)
-		if cum+fc < rank {
-			cum += fc
-			continue
-		}
-		lo, hi := h.min, h.max
-		if len(h.bounds) > 0 {
-			switch {
-			case i == 0:
-				hi = h.bounds[0]
-			case i == len(h.bounds):
-				lo = h.bounds[i-1]
-			default:
-				lo, hi = h.bounds[i-1], h.bounds[i]
-			}
-		}
-		v := lo + (hi-lo)*(rank-cum)/fc
-		if v < h.min {
-			v = h.min
-		}
-		if v > h.max {
-			v = h.max
-		}
-		return v
-	}
-	return h.max
-}
-
-func (h *hist) dist() Dist {
+// dist summarizes an obs.Histogram of milliseconds.
+func dist(h *obs.Histogram) Dist {
 	return Dist{
-		N: h.n,
-		MeanMS: func() float64 {
-			if h.n == 0 {
-				return 0
-			}
-			return h.sum / float64(h.n)
-		}(),
-		P50MS: h.quantile(0.50),
-		P95MS: h.quantile(0.95),
-		P99MS: h.quantile(0.99),
-		MaxMS: h.max,
+		N:      h.N,
+		MeanMS: h.Mean(),
+		P50MS:  h.Quantile(0.50),
+		P95MS:  h.Quantile(0.95),
+		P99MS:  h.Quantile(0.99),
+		MaxMS:  h.Max,
 	}
 }
 
@@ -251,9 +172,10 @@ type Engine struct {
 	requests int64
 	outcomes [4]int64 // indexed by Outcome
 	slow     int64    // lifetime latency-threshold breaches
-	totalMS  *hist
-	queueMS  *hist
-	evalMS   *hist
+	// The histograms are unsynchronized; mu covers them.
+	totalMS *obs.Histogram
+	queueMS *obs.Histogram
+	evalMS  *obs.Histogram
 }
 
 // NewEngine returns an engine evaluating obj. Zero objective fields
@@ -266,9 +188,9 @@ func NewEngine(obj Objectives) *Engine {
 		now:      time.Now,
 		short:    newWindow(shortWindowBuckets, shortBucketSeconds*time.Second),
 		long:     newWindow(longWindowBuckets, longBucketSeconds*time.Second),
-		totalMS:  newHist(latencyBuckets),
-		queueMS:  newHist(latencyBuckets),
-		evalMS:   newHist(latencyBuckets),
+		totalMS:  obs.NewHistogram(latencyBuckets),
+		queueMS:  obs.NewHistogram(latencyBuckets),
+		evalMS:   obs.NewHistogram(latencyBuckets),
 	}
 	e.started = e.now()
 	return e
@@ -346,10 +268,10 @@ func (e *Engine) Record(o Outcome, queueMS, evalMS, totalMS float64) {
 			}
 		}
 	}
-	e.totalMS.observe(totalMS)
-	e.queueMS.observe(queueMS)
+	e.totalMS.Observe(totalMS)
+	e.queueMS.Observe(queueMS)
 	if o == OK || o == ClientError {
-		e.evalMS.observe(evalMS)
+		e.evalMS.Observe(evalMS)
 	}
 	e.mu.Unlock()
 }
@@ -480,9 +402,9 @@ func (e *Engine) Report() Report {
 		Shed:          e.outcomes[Shed],
 		Timeouts:      e.outcomes[Timeout],
 		SlowRequests:  e.slow,
-		TotalMS:       e.totalMS.dist(),
-		QueueMS:       e.queueMS.dist(),
-		EvalMS:        e.evalMS.dist(),
+		TotalMS:       dist(e.totalMS),
+		QueueMS:       dist(e.queueMS),
+		EvalMS:        dist(e.evalMS),
 	}
 	st, ss, sa, sb := e.short.sum(now)
 	lt, ls, la, lb := e.long.sum(now)
