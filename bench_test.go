@@ -475,12 +475,108 @@ func BenchmarkFPGACoreKernels(b *testing.B) {
 	}
 }
 
+// TestMicroRungAllocCeilings gates the one deterministic column of the
+// micro rungs above: allocations per op. Each ceiling is the value
+// measured when the gate was added, and a rung passes at or below it, so
+// allocation work lowers a ceiling without having to edit this test
+// first. The rungs' other deterministic column, cycles/op, is pinned
+// exactly by TestCycleModelGolden in internal/fpga and is not repeated
+// here.
+func TestMicroRungAllocCeilings(t *testing.T) {
+	type rung struct {
+		name    string
+		ceiling float64
+		op      func() func()
+	}
+	var rungs []rung
+	for _, hidden := range paperHiddenSizes {
+		hidden := hidden
+		rungs = append(rungs,
+			rung{fmt.Sprintf("OSELMSeqTrainOne/%dunits", hidden), 0, func() func() {
+				r := rng.New(1)
+				m := oselm.New(elm.NewModel(5, hidden, 1, activation.ReLU, r, elm.DefaultOptions()), 0.5)
+				x, y := mat.Zeros(hidden, 5), mat.Zeros(hidden, 1)
+				r.FillUniform(x.RawData(), -1, 1)
+				r.FillUniform(y.RawData(), -1, 1)
+				if err := m.InitTrain(x, y); err != nil {
+					t.Fatal(err)
+				}
+				xi, ti := []float64{0.1, -0.2, 0.3, -0.4, 1}, []float64{0.5}
+				return func() {
+					if err := m.SeqTrainOne(xi, ti); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}},
+			rung{fmt.Sprintf("OSELMPredictOne/%dunits", hidden), 2, func() func() {
+				r := rng.New(1)
+				m := elm.NewModel(5, hidden, 1, activation.ReLU, r, elm.DefaultOptions())
+				r.FillUniform(m.Beta.RawData(), -1, 1)
+				xi := []float64{0.1, -0.2, 0.3, -0.4, 1}
+				return func() { _ = m.PredictOne(xi) }
+			}},
+		)
+		for _, k := range []fpga.Kernel{fpga.KernelPredict, fpga.KernelSeqTrain} {
+			k := k
+			rungs = append(rungs, rung{fmt.Sprintf("FPGACore/%s/%dunits", k, hidden), 0, func() func() {
+				core := fpga.NewCore(5, hidden, 1, fpga.DefaultCycleModel())
+				x, y := make([]fixed.Fixed, 5), []fixed.Fixed{fixed.FromFloat(0.3)}
+				if k == fpga.KernelSeqTrain {
+					return func() { core.SeqTrain(x, y) }
+				}
+				return func() { core.Predict(x) }
+			}})
+		}
+	}
+	rungs = append(rungs,
+		rung{"CartPoleStep", 1, func() func() {
+			e := env.NewCartPoleV0(1)
+			e.Reset()
+			i := 0
+			return func() {
+				if _, _, done := e.Step(i % 2); done {
+					e.Reset()
+				}
+				i++
+			}
+		}},
+		rung{"FacadeAgentStep", 6, func() func() {
+			agent, err := oselmrl.NewAgent(oselmrl.DesignOSELML2Lipschitz, 4, 2, 32, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			task := oselmrl.NewCartPole(101)
+			state := task.Reset()
+			ep := 1
+			return func() {
+				act := agent.SelectAction(state)
+				next, r, done := task.Step(act)
+				if err := agent.Observe(replay.Transition{State: state, Action: act, Reward: r, NextState: next, Done: done}); err != nil {
+					t.Fatal(err)
+				}
+				state = next
+				if done {
+					agent.EndEpisode(ep)
+					ep++
+					state = task.Reset()
+				}
+			}
+		}},
+	)
+	for _, r := range rungs {
+		got := testing.AllocsPerRun(200, r.op())
+		t.Logf("%-28s %g allocs/op (ceiling %g)", r.name, got, r.ceiling)
+		if got > r.ceiling {
+			t.Errorf("%s: %g allocs/op, ceiling %g", r.name, got, r.ceiling)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Device profiler overhead: the off row must track the plain seq_train
 // kernel (the nil-check disabled path is the zero-cost guarantee); the on
 // row bounds the full (phase × kernel × unit) attribution cost. Same
-// kernel and hidden width, so the pair reads as a direct A/B in the
-// BENCH_<n>.json trajectory.
+// kernel and hidden width, so the pair reads as a direct A/B.
 
 func BenchmarkFPGAProfiler(b *testing.B) {
 	for _, profile := range []bool{false, true} {
@@ -506,8 +602,8 @@ func BenchmarkFPGAProfiler(b *testing.B) {
 
 // BenchmarkFleetSimulate measures the discrete-event fleet simulator on
 // the population-training workload (8 members x 50 transitions at 64
-// hidden units) and reports the modelled speedup per core count — the
-// fleet-sim throughput row in the BENCH_<n>.json trajectory.
+// hidden units) and reports the modelled speedup per core count beside
+// the simulator's event throughput.
 func BenchmarkFleetSimulate(b *testing.B) {
 	costs := fpga.AnalyticKernelCosts(5, 64, 1, fpga.DefaultCycleModel())
 	w := fleet.PopulationTraining(8, 50, costs)

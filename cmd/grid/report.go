@@ -37,8 +37,8 @@ type reportCell struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// gridReport is the machine-readable grid outcome backing -compare
-// regression gating, in the spirit of cmd/bench's snapshot/-compare pair.
+// gridReport is the machine-readable grid outcome that -compare reads
+// back to gate regressions against a prior run.
 type gridReport struct {
 	SchemaVersion int          `json:"schema_version"`
 	Matrix        string       `json:"matrix"`

@@ -19,14 +19,6 @@
 // /v1/t/{name}/ routes (each tenant's state probed via its own /v1/info)
 // and the report carries per-tenant request counts.
 //
-// A/B runs: -ab URL2 measures the same workload twice — first against
-// -url (label "unbatched"), then against URL2 (label "batched") — and
-// prints the throughput and p99 deltas. -ab-out writes the pair as a
-// cmd/bench-compatible BENCH snapshot (rows ServeAB/<label>/throughput
-// and ServeAB/<label>/p99), so `cmd/bench -compare` and CI thresholds
-// work on serving A/Bs exactly as on Go benchmarks. This is how the
-// micro-batching acceptance numbers (BENCH_4.json) were produced.
-//
 // With -slo the tool additionally replays the traffic through a
 // client-side burn-rate engine (internal/obs/slo): every response is
 // classified (200 OK, 400 client error, 429 shed, transport error
@@ -49,8 +41,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,24 +92,11 @@ func run() int {
 	concurrency := flag.Int("concurrency", 16, "closed-loop workers")
 	stateFlag := flag.String("state", "", "comma-separated probe state (default: zeros sized via /v1/info)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
-	abURL := flag.String("ab", "", "second base URL: run the workload against -url then this, report the deltas")
-	abOut := flag.String("ab-out", "", "with -ab: write both passes as a cmd/bench-compatible snapshot to this file")
-	abLabels := flag.String("ab-labels", "unbatched,batched", "with -ab: labels for the -url and -ab passes")
 	sloOn := flag.Bool("slo", false, "evaluate serving SLOs client-side and gate the exit code on them")
 	sloP99 := flag.Float64("slo-p99", 100, "latency objective: p99 total latency in ms (with -slo; 0 disables)")
 	sloAvail := flag.Float64("slo-availability", 0.999, "availability objective (with -slo; 0 disables)")
 	sloOut := flag.String("slo-out", "", "with -slo: also write the full JSON report to this file (the CI artifact)")
 	flag.Parse()
-
-	if *abURL != "" && *sloOn {
-		fmt.Fprintln(os.Stderr, "loadgen: -ab and -slo are mutually exclusive (A/B is a throughput measurement)")
-		return 2
-	}
-	labelA, labelB, ok := strings.Cut(*abLabels, ",")
-	if *abURL != "" && (!ok || labelA == "" || labelB == "") {
-		fmt.Fprintln(os.Stderr, "loadgen: -ab-labels wants two comma-separated names")
-		return 2
-	}
 
 	var tenants []string
 	if *tenantsFlag != "" {
@@ -146,31 +123,6 @@ func run() int {
 	rep := runPass(client, targets, *duration, *concurrency, eng)
 	rep.Endpoint = *endpoint
 
-	if *abURL != "" {
-		// Re-probe against the B server: it may serve a different model.
-		targetsB, err := buildTargets(client, *abURL, *endpoint, tenants, *stateFlag)
-		if err != nil {
-			return fail(err)
-		}
-		repB := runPass(client, targetsB, *duration, *concurrency, eng)
-		repB.Endpoint = *endpoint
-		printReport(labelA+": ", rep)
-		printReport(labelB+": ", repB)
-		printABDelta(labelA, labelB, rep, repB)
-		if *abOut != "" {
-			snap := abSnapshot(labelA, labelB, rep, repB, *duration)
-			if err := writeJSONFile(*abOut, snap); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "loadgen: A/B snapshot written to %s\n", *abOut)
-		}
-		if rep.Errors > 0 || repB.Errors > 0 || rep.Requests == 0 || repB.Requests == 0 {
-			fmt.Fprintln(os.Stderr, "loadgen: FAILED (errors or no successful requests in a pass)")
-			return 1
-		}
-		return 0
-	}
-
 	if eng != nil {
 		sloRep := eng.Report()
 		rep.SLO = &sloRep
@@ -180,7 +132,7 @@ func run() int {
 	if *jsonOut {
 		json.NewEncoder(os.Stdout).Encode(rep)
 	} else {
-		printReport("", rep)
+		printReport(rep)
 		if rep.SLO != nil {
 			printSLO(rep.SLO)
 		}
@@ -355,11 +307,11 @@ func runPass(client *http.Client, targets []target, duration time.Duration, conc
 	return rep
 }
 
-func printReport(prefix string, rep report) {
-	fmt.Printf("%sloadgen: %d requests in %.2fs (%d errors, %d shed), %.0f req/s\n",
-		prefix, rep.Requests, rep.Seconds, rep.Errors, rep.Shed, rep.QPS)
-	fmt.Printf("%slatency ms: p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
-		prefix, rep.P50MS, rep.P95MS, rep.P99MS, rep.MaxMS)
+func printReport(rep report) {
+	fmt.Printf("loadgen: %d requests in %.2fs (%d errors, %d shed), %.0f req/s\n",
+		rep.Requests, rep.Seconds, rep.Errors, rep.Shed, rep.QPS)
+	fmt.Printf("latency ms: p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
+		rep.P50MS, rep.P95MS, rep.P99MS, rep.MaxMS)
 	if len(rep.Tenants) > 0 {
 		names := make([]string, 0, len(rep.Tenants))
 		for name := range rep.Tenants {
@@ -370,79 +322,8 @@ func printReport(prefix string, rep report) {
 		for _, name := range names {
 			parts = append(parts, fmt.Sprintf("%s=%d", name, rep.Tenants[name]))
 		}
-		fmt.Printf("%sper tenant: %s\n", prefix, strings.Join(parts, " "))
+		fmt.Printf("per tenant: %s\n", strings.Join(parts, " "))
 	}
-}
-
-// printABDelta summarizes pass B relative to pass A: positive throughput
-// delta and non-positive p99 delta is the micro-batching win condition.
-func printABDelta(labelA, labelB string, a, b report) {
-	pct := func(oldV, newV float64) float64 {
-		if oldV == 0 {
-			return 0
-		}
-		return (newV - oldV) / oldV * 100
-	}
-	fmt.Printf("A/B (%s -> %s): throughput %+0.1f%% (%.0f -> %.0f req/s), p99 %+0.1f%% (%.3f -> %.3f ms)\n",
-		labelA, labelB, pct(a.QPS, b.QPS), a.QPS, b.QPS, pct(a.P99MS, b.P99MS), a.P99MS, b.P99MS)
-}
-
-// benchResult and benchSnapshot mirror cmd/bench's BENCH_<n>.json schema
-// so A/B snapshots compare with `cmd/bench -compare` and live next to the
-// Go-benchmark history at the repo root.
-type benchResult struct {
-	Name       string  `json:"name"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-}
-
-type benchSnapshot struct {
-	GitSHA    string        `json:"git_sha"`
-	GoVersion string        `json:"go_version"`
-	Platform  string        `json:"platform"`
-	Time      string        `json:"time"`
-	Benchtime string        `json:"benchtime"`
-	Packages  []string      `json:"packages"`
-	Results   []benchResult `json:"results"`
-}
-
-// abSnapshot converts an A/B pair into bench rows: throughput rows carry
-// the mean inter-completion time (1e9/QPS ns — lower is faster, matching
-// bench semantics), p99 rows carry the tail latency in ns.
-func abSnapshot(labelA, labelB string, a, b report, duration time.Duration) benchSnapshot {
-	rows := func(label string, r report) []benchResult {
-		out := []benchResult{}
-		if r.QPS > 0 {
-			out = append(out, benchResult{
-				Name:       "ServeAB/" + label + "/throughput",
-				Iterations: int64(r.Requests),
-				NsPerOp:    1e9 / r.QPS,
-			})
-		}
-		out = append(out,
-			benchResult{Name: "ServeAB/" + label + "/p50", Iterations: int64(r.Requests), NsPerOp: r.P50MS * 1e6},
-			benchResult{Name: "ServeAB/" + label + "/p99", Iterations: int64(r.Requests), NsPerOp: r.P99MS * 1e6},
-		)
-		return out
-	}
-	return benchSnapshot{
-		GitSHA:    gitSHA(),
-		GoVersion: runtime.Version(),
-		Platform:  runtime.GOOS + "/" + runtime.GOARCH,
-		Time:      time.Now().UTC().Format(time.RFC3339),
-		Benchtime: duration.String(),
-		Packages:  []string{"cmd/loadgen A/B"},
-		Results:   append(rows(labelA, a), rows(labelB, b)...),
-	}
-}
-
-// gitSHA returns the current HEAD commit, or "unknown" outside a checkout.
-func gitSHA() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
 
 // printSLO renders the burn-rate evaluation for humans: the latency

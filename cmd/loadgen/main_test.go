@@ -96,42 +96,6 @@ func TestRunPassPerTenantCounts(t *testing.T) {
 	}
 }
 
-// abSnapshot rows must carry bench semantics: ns_per_op = 1e9/QPS for
-// throughput, p99_ms*1e6 for the tail row, iterations = requests.
-func TestABSnapshotRows(t *testing.T) {
-	a := report{Requests: 1000, QPS: 2000, P50MS: 1, P99MS: 4}
-	b := report{Requests: 3000, QPS: 4000, P50MS: 0.5, P99MS: 3}
-	snap := abSnapshot("unbatched", "batched", a, b, 2*time.Second)
-	byName := map[string]benchResult{}
-	for _, r := range snap.Results {
-		byName[r.Name] = r
-	}
-	cases := []struct {
-		name string
-		iter int64
-		ns   float64
-	}{
-		{"ServeAB/unbatched/throughput", 1000, 1e9 / 2000},
-		{"ServeAB/unbatched/p99", 1000, 4e6},
-		{"ServeAB/batched/throughput", 3000, 1e9 / 4000},
-		{"ServeAB/batched/p50", 3000, 0.5e6},
-		{"ServeAB/batched/p99", 3000, 3e6},
-	}
-	for _, c := range cases {
-		r, ok := byName[c.name]
-		if !ok {
-			t.Errorf("row %s missing", c.name)
-			continue
-		}
-		if r.Iterations != c.iter || r.NsPerOp != c.ns {
-			t.Errorf("%s = {%d, %g}, want {%d, %g}", c.name, r.Iterations, r.NsPerOp, c.iter, c.ns)
-		}
-	}
-	if snap.Benchtime != "2s" {
-		t.Errorf("benchtime = %q", snap.Benchtime)
-	}
-}
-
 func TestParseServerTiming(t *testing.T) {
 	cases := []struct {
 		in           string

@@ -211,15 +211,7 @@ func run() int {
 		if !ok {
 			return fail(fmt.Errorf("-save supports the ELM/OS-ELM designs, not %s", d))
 		}
-		f, err := os.Create(*savePath)
-		if err != nil {
-			return fail(err)
-		}
-		if err := persist.SaveAgent(f, qa); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := persist.SaveAgentFile(*savePath, qa); err != nil {
 			return fail(err)
 		}
 		fmt.Println("Agent snapshot written to", *savePath)

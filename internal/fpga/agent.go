@@ -3,6 +3,7 @@ package fpga
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"oselmrl/internal/elm"
@@ -94,6 +95,21 @@ func NewAgentQ(cfg qnet.Config, cycles CycleModel, q fixed.QFormat) (*Agent, err
 	}
 	if cfg.ExploreDecay <= 0 || cfg.ExploreDecay > 1 {
 		return nil, fmt.Errorf("fpga: ExploreDecay must be in (0, 1]: %g", cfg.ExploreDecay)
+	}
+	// The synthesized design is the scalar-action, single-output network
+	// with plain Q-learning targets; refuse what it would silently drop.
+	var unsupported []string
+	if cfg.DoubleQ {
+		unsupported = append(unsupported, "DoubleQ")
+	}
+	if cfg.OneHotActions {
+		unsupported = append(unsupported, "OneHotActions")
+	}
+	if cfg.StandardOutputModel {
+		unsupported = append(unsupported, "StandardOutputModel")
+	}
+	if len(unsupported) > 0 {
+		return nil, fmt.Errorf("fpga: the device design does not implement %s", strings.Join(unsupported, ", "))
 	}
 	res := EstimateResources(cfg.ObservationSize+1, cfg.Hidden)
 	if !res.Feasible {

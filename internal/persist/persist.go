@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"oselmrl/internal/activation"
 	"oselmrl/internal/elm"
@@ -148,6 +149,11 @@ type configJSON struct {
 	Seed            uint64  `json:"seed"`
 	InitLow         float64 `json:"init_low"`
 	InitHigh        float64 `json:"init_high"`
+	// The extension flags are omitted when false, so a default-config
+	// checkpoint stays byte-identical to one written before they existed.
+	OneHotActions       bool `json:"one_hot_actions,omitempty"`
+	DoubleQ             bool `json:"double_q,omitempty"`
+	StandardOutputModel bool `json:"standard_output_model,omitempty"`
 }
 
 func encodeConfig(c qnet.Config) configJSON {
@@ -167,6 +173,10 @@ func encodeConfig(c qnet.Config) configJSON {
 		Seed:            c.Seed,
 		InitLow:         c.InitLow,
 		InitHigh:        c.InitHigh,
+
+		OneHotActions:       c.OneHotActions,
+		DoubleQ:             c.DoubleQ,
+		StandardOutputModel: c.StandardOutputModel,
 	}
 }
 
@@ -187,6 +197,10 @@ func decodeConfig(j configJSON) qnet.Config {
 		Seed:            j.Seed,
 		InitLow:         j.InitLow,
 		InitHigh:        j.InitHigh,
+
+		OneHotActions:       j.OneHotActions,
+		DoubleQ:             j.DoubleQ,
+		StandardOutputModel: j.StandardOutputModel,
 	}
 }
 
@@ -211,22 +225,46 @@ func SaveAgent(w io.Writer, a *qnet.Agent) error {
 	return json.NewEncoder(w).Encode(&j)
 }
 
-// SaveAgentFile writes an agent snapshot to path, creating or truncating
-// the file. The write is not atomic; writers coordinating with a live
-// checkpoint watcher should write to a temp file and rename.
-func SaveAgentFile(path string, a *qnet.Agent) error {
-	f, err := os.Create(path)
+// SaveAgentFile writes an agent snapshot to path atomically: the snapshot
+// goes to a temp file in the same directory, which is synced and renamed
+// over path before the directory itself is synced. A concurrent reader
+// (cmd/serve -watch) sees the old checkpoint or the new one, never a
+// partial write, and a failed save leaves the old file and no temp file.
+// The file gets mode 0644, what os.Create gives under a 022 umask.
+func SaveAgentFile(path string, a *qnet.Agent) (err error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if err := SaveAgent(f, a); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: writing %s: %w", path, err)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			err = fmt.Errorf("persist: writing %s: %w", path, err)
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("persist: writing %s: %w", path, err)
+	if err = SaveAgent(f, a); err != nil {
+		return err
 	}
-	return nil
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LoadAgentFile loads an agent snapshot from path — the checkpoint

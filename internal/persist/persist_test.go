@@ -113,21 +113,7 @@ func TestAgentRoundTrip(t *testing.T) {
 	cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 16)
 	cfg.Seed = 5
 	agent := qnet.MustNew(cfg)
-
-	// Train for a while on CartPole.
-	e := env.NewShaped(env.NewCartPoleV0(105), env.RewardSurvival)
-	s := e.Reset()
-	for i := 0; i < 2000; i++ {
-		act := agent.SelectAction(s)
-		ns, r, done := e.Step(act)
-		if err := agent.Observe(replay.Transition{State: s, Action: act, Reward: r, NextState: ns, Done: done}); err != nil {
-			t.Fatal(err)
-		}
-		s = ns
-		if done {
-			s = e.Reset()
-		}
-	}
+	trainOnCartPole(t, agent, 2000)
 	if !agent.Trained() {
 		t.Fatal("agent should be trained")
 	}
@@ -160,17 +146,87 @@ func TestAgentRoundTrip(t *testing.T) {
 		t.Error("restored beta differs")
 	}
 	// The restored agent continues learning without error.
-	s = e.Reset()
-	for i := 0; i < 100; i++ {
-		act := restored.SelectAction(s)
-		ns, rw, done := e.Step(act)
-		if err := restored.Observe(replay.Transition{State: s, Action: act, Reward: rw, NextState: ns, Done: done}); err != nil {
+	trainOnCartPole(t, restored, 100)
+}
+
+// trainOnCartPole runs agent for steps environment steps of shaped
+// CartPole, resetting at episode ends.
+func trainOnCartPole(t *testing.T, agent *qnet.Agent, steps int) {
+	t.Helper()
+	e := env.NewShaped(env.NewCartPoleV0(105), env.RewardSurvival)
+	s := e.Reset()
+	for i := 0; i < steps; i++ {
+		act := agent.SelectAction(s)
+		ns, r, done := e.Step(act)
+		if err := agent.Observe(replay.Transition{State: s, Action: act, Reward: r, NextState: ns, Done: done}); err != nil {
 			t.Fatal(err)
 		}
 		s = ns
 		if done {
 			s = e.Reset()
 		}
+	}
+}
+
+// Each extension flag changes the network's shape or its learning rule,
+// so a checkpoint must carry it: the reloaded agent has the flag set and
+// returns the saved agent's Q values exactly. A default-config checkpoint
+// carries none of the flag keys, so it reads as it did before they
+// existed.
+func TestAgentRoundTripExtensionFlags(t *testing.T) {
+	flagKeys := []string{`"one_hot_actions"`, `"double_q"`, `"standard_output_model"`}
+	var buf bytes.Buffer
+	if err := SaveAgent(&buf, qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 8))); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range flagKeys {
+		if strings.Contains(buf.String(), key) {
+			t.Errorf("default checkpoint carries %s", key)
+		}
+	}
+
+	for _, tc := range []struct {
+		key string
+		set func(*qnet.Config)
+	}{
+		{flagKeys[0], func(c *qnet.Config) { c.OneHotActions = true }},
+		{flagKeys[1], func(c *qnet.Config) { c.DoubleQ = true }},
+		{flagKeys[2], func(c *qnet.Config) { c.StandardOutputModel = true }},
+	} {
+		t.Run(strings.Trim(tc.key, `"`), func(t *testing.T) {
+			cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 8)
+			tc.set(&cfg)
+			agent := qnet.MustNew(cfg)
+			trainOnCartPole(t, agent, 300)
+			path := filepath.Join(t.TempDir(), "agent.json")
+			if err := SaveAgentFile(path, agent); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := LoadAgentFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := restored.Config(), agent.Config()
+			if got.OneHotActions != want.OneHotActions || got.DoubleQ != want.DoubleQ ||
+				got.StandardOutputModel != want.StandardOutputModel {
+				t.Fatalf("restored flags one-hot=%v double-q=%v standard-output=%v, saved %v/%v/%v",
+					got.OneHotActions, got.DoubleQ, got.StandardOutputModel,
+					want.OneHotActions, want.DoubleQ, want.StandardOutputModel)
+			}
+			before, after := agent.NewEvaluator(), restored.NewEvaluator()
+			r := rng.New(9)
+			for i := 0; i < 50; i++ {
+				probe := make([]float64, 4)
+				r.FillUniform(probe, -1, 1)
+				qb, _ := before.QValues(probe)
+				qa, _ := after.QValues(probe)
+				for k := range qb {
+					if qa[k] != qb[k] {
+						t.Fatalf("probe %d action %d: Q %v after reload, %v before", i, k, qa[k], qb[k])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -266,5 +322,103 @@ func TestLoadAgentFileErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "version 999") || !strings.Contains(err.Error(), path) {
 		t.Errorf("error should name the version and path: %v", err)
+	}
+}
+
+// A reader polling the checkpoint while it is rewritten, the way
+// cmd/serve -watch does, must always load a complete snapshot.
+func TestSaveAgentFileAtomicUnderConcurrentLoad(t *testing.T) {
+	agent := qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELML2, 4, 2, 16))
+	trainOnCartPole(t, agent, 200)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "agent.json")
+	if err := SaveAgentFile(path, agent); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	loadErr := make(chan error, 1)
+	loads := 0
+	go func() {
+		defer close(loadErr)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := LoadAgentFile(path); err != nil {
+				loadErr <- err
+				return
+			}
+			loads++
+		}
+	}()
+	var saveErr error
+	for i := 0; i < 200 && saveErr == nil; i++ {
+		saveErr = SaveAgentFile(path, agent)
+	}
+	close(stop)
+	if err := <-loadErr; err != nil {
+		t.Fatalf("load during save failed: %v", err)
+	}
+	if saveErr != nil {
+		t.Fatal(saveErr)
+	}
+	t.Logf("%d loads during 200 saves", loads)
+
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := info.Mode().Perm(); perm != 0o644 {
+		t.Errorf("checkpoint mode %v, want 0644", perm)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries after saving, want only agent.json", len(entries))
+	}
+}
+
+// A save that fails part way must leave the previous checkpoint in place
+// and no temp file beside it.
+func TestSaveAgentFileFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "agent.json")
+	if err := SaveAgentFile(path, qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELM, 4, 2, 8))); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// encoding/json rejects NaN, so this save fails after its temp file
+	// has been created and partly written.
+	bad := qnet.MustNew(qnet.DefaultConfig(qnet.VariantOSELM, 4, 2, 8))
+	bad.Theta1().Beta.RawData()[0] = math.NaN()
+	if err := SaveAgentFile(path, bad); err == nil {
+		t.Fatal("saving a NaN weight must fail")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, old) {
+		t.Error("failed save changed the existing checkpoint")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "agent.json" {
+			t.Errorf("failed save left %s behind", e.Name())
+		}
+	}
+	if err := SaveAgentFile(filepath.Join(dir, "missing", "agent.json"), bad); err == nil {
+		t.Error("saving into a missing directory must fail")
 	}
 }

@@ -665,12 +665,13 @@ func (a *Agent) Theta2() *oselm.Model { return a.theta2 }
 func (a *Agent) GlobalStep() int { return a.globalStep }
 
 // RestoreModels installs persisted θ1/θ2 models (internal/persist). The
-// models must match the agent's dimensions.
+// models must match the agent's input/hidden/output dimensions, which
+// depend on OneHotActions and StandardOutputModel.
 func (a *Agent) RestoreModels(theta1, theta2 *oselm.Model) error {
 	for _, m := range []*oselm.Model{theta1, theta2} {
-		if m.InputSize() != a.dims.In || m.HiddenSize() != a.cfg.Hidden || m.OutputSize() != 1 {
-			return fmt.Errorf("qnet: restored model is %d/%d/%d, agent expects %d/%d/1",
-				m.InputSize(), m.HiddenSize(), m.OutputSize(), a.dims.In, a.cfg.Hidden)
+		if m.InputSize() != a.dims.In || m.HiddenSize() != a.dims.Hidden || m.OutputSize() != a.dims.Out {
+			return fmt.Errorf("qnet: restored model is %d/%d/%d, agent expects %d/%d/%d",
+				m.InputSize(), m.HiddenSize(), m.OutputSize(), a.dims.In, a.dims.Hidden, a.dims.Out)
 		}
 	}
 	a.theta1 = theta1

@@ -1,5 +1,5 @@
 // Package vcs reads the git state of the working tree so run artifacts
-// (manifests, bench snapshots, ledger records) can tie results to the
+// (run manifests, grid reports, ledger records) can tie results to the
 // exact commit that produced them. Every accessor degrades gracefully
 // outside a checkout (or without a git binary): the SHA becomes
 // "unknown" and the dirty flag false, never an error — provenance is
