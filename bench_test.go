@@ -540,7 +540,7 @@ func TestMicroRungAllocCeilings(t *testing.T) {
 				i++
 			}
 		}},
-		rung{"FacadeAgentStep", 6, func() func() {
+		rung{"FacadeAgentStep", 1, func() func() {
 			agent, err := oselmrl.NewAgent(oselmrl.DesignOSELML2Lipschitz, 4, 2, 32, 1)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"testing"
 
 	"oselmrl/internal/rng"
@@ -155,4 +156,46 @@ func TestMulSerialIntoRowsBitIdenticalToVecMul(t *testing.T) {
 		}
 	}()
 	MulSerialInto(Zeros(2, 2), a, b)
+}
+
+// MulVecInto takes rows four at a time; every dst[i] must still be
+// BIT-identical to the one-row loop (one accumulator, ascending j) for
+// every row count around the group size, including the tail rows, and for
+// entries of ±0 and subnormals.
+func TestMulVecIntoBitIdenticalToRowLoop(t *testing.T) {
+	r := rng.New(84)
+	special := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		-3 * math.SmallestNonzeroFloat64, 0x1p-1030, -0x1.8p-1060, 1e-300, -2.5}
+	fill := func(v []float64) {
+		for i := range v {
+			if r.Intn(3) == 0 {
+				v[i] = special[r.Intn(len(special))]
+			} else {
+				v[i] = r.Uniform(-3, 3)
+			}
+		}
+	}
+	for rows := 0; rows <= 9; rows++ {
+		for _, cols := range []int{0, 1, 3, 4, 7, 64, 65} {
+			a := Zeros(rows, cols)
+			x := make([]float64, cols)
+			fill(a.RawData())
+			fill(x)
+			dst := make([]float64, rows)
+			for i := range dst {
+				dst[i] = 42 // stale values must be overwritten
+			}
+			MulVecInto(dst, a, x)
+			for i := 0; i < rows; i++ {
+				var s float64
+				for j, xv := range x {
+					s += a.At(i, j) * xv
+				}
+				if math.Float64bits(dst[i]) != math.Float64bits(s) {
+					t.Fatalf("%dx%d row %d: MulVecInto %v (%#x), row loop %v (%#x)",
+						rows, cols, i, dst[i], math.Float64bits(dst[i]), s, math.Float64bits(s))
+				}
+			}
+		}
+	}
 }

@@ -281,15 +281,37 @@ func MulVec(a *Dense, x []float64) []float64 {
 
 // MulVecInto computes dst = a·x without allocating; dst must have length
 // a.Rows() and must not alias x.
+//
+// Rows are taken four at a time. Each row keeps its own accumulator and
+// sums over j in ascending order, exactly as MulVec does, so every dst[i]
+// is bit-identical to the one-row loop; interleaving only lets the four
+// independent add chains overlap instead of waiting on one chain's
+// latency.
 func MulVecInto(dst []float64, a *Dense, x []float64) {
 	if a.cols != len(x) || a.rows != len(dst) {
 		panic(fmt.Errorf("%w: MulVecInto %d = %dx%d · %d", ErrShape, len(dst), a.rows, a.cols, len(x)))
 	}
-	for i := 0; i < a.rows; i++ {
-		base := i * a.cols
+	n := len(x)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := a.data[i*n:][:n]
+		r1 := a.data[(i+1)*n:][:n]
+		r2 := a.data[(i+2)*n:][:n]
+		r3 := a.data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		r := a.data[i*n:][:n]
 		var s float64
 		for j, xv := range x {
-			s += a.data[base+j] * xv
+			s += r[j] * xv
 		}
 		dst[i] = s
 	}

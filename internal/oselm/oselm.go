@@ -198,14 +198,14 @@ func (m *Model) SeqTrainOne(x, t []float64) error {
 
 	// P ← P − s·ph·phᵀ (symmetric rank-1 downdate).
 	pd := m.P.RawData()
-	for i := 0; i < n; i++ {
-		phi := s * ph[i]
+	for i, phv := range ph {
+		phi := s * phv
 		if phi == 0 {
 			continue
 		}
-		row := pd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] -= phi * ph[j]
+		row := pd[i*n:][:len(ph)]
+		for j, phj := range ph {
+			row[j] -= phi * phj
 		}
 	}
 
@@ -215,14 +215,16 @@ func (m *Model) SeqTrainOne(x, t []float64) error {
 	pred := m.scratchPred
 	mat.VecMulInto(pred, h, m.Beta)
 	bd := m.Beta.RawData()
-	mOut := m.OutputSize()
-	for i := 0; i < n; i++ {
-		g := s * ph[i]
+	mOut := len(t)
+	pred = pred[:mOut]
+	for i, phv := range ph {
+		g := s * phv
 		if g == 0 {
 			continue
 		}
-		for c := 0; c < mOut; c++ {
-			bd[i*mOut+c] += g * (t[c] - pred[c])
+		brow := bd[i*mOut:][:mOut]
+		for c, tc := range t {
+			brow[c] += g * (tc - pred[c])
 		}
 	}
 	m.updates++

@@ -20,12 +20,9 @@ import (
 // The QValues result is reused between calls on the same Evaluator; copy
 // it if it must outlive the next call.
 type Evaluator struct {
-	cfg   Config
-	model *oselm.Model
-	in    []float64 // encoded network input (simplified output model)
-	hid   []float64 // hidden activations
-	q     []float64 // one Q value per action
-	out   []float64 // raw network output row
+	cfg    Config
+	model  *oselm.Model
+	kernel qKernel // single-state Q values
 
 	// Batch scratch for QValuesBatch/BestBatch, lazily grown to the
 	// largest batch seen and reused between calls (the serving tier's
@@ -44,17 +41,10 @@ type Evaluator struct {
 // swaps θ1 and is NOT seen by existing Evaluators — build new ones (this
 // is exactly what makes checkpoint hot-swap race-free in internal/serve).
 func (a *Agent) NewEvaluator() *Evaluator {
-	outSize := 1
-	if a.cfg.StandardOutputModel {
-		outSize = a.cfg.ActionCount
-	}
 	return &Evaluator{
-		cfg:   a.cfg,
-		model: a.theta1,
-		in:    make([]float64, a.dims.In),
-		hid:   make([]float64, a.cfg.Hidden),
-		q:     make([]float64, a.cfg.ActionCount),
-		out:   make([]float64, outSize),
+		cfg:    a.cfg,
+		model:  a.theta1,
+		kernel: newQKernel(a.cfg, a.dims.In, a.dims.Out),
 	}
 }
 
@@ -72,31 +62,13 @@ func (ev *Evaluator) QValues(state []float64) ([]float64, error) {
 		return nil, fmt.Errorf("qnet: state has %d features, model expects %d",
 			len(state), ev.cfg.ObservationSize)
 	}
-	if ev.cfg.StandardOutputModel {
-		ev.model.HiddenOneInto(ev.hid, state)
-		mat.VecMulInto(ev.out, ev.hid, ev.model.Beta)
-		copy(ev.q, ev.out)
-		return ev.q, nil
-	}
-	copy(ev.in, state)
-	for act := 0; act < ev.cfg.ActionCount; act++ {
-		ev.encodeAction(len(state), act)
-		ev.model.HiddenOneInto(ev.hid, ev.in)
-		mat.VecMulInto(ev.out, ev.hid, ev.model.Beta)
-		ev.q[act] = ev.out[0]
-	}
-	return ev.q, nil
+	return ev.kernel.values(ev.model.Model, state), nil
 }
 
-// encodeAction writes the action part of the simplified-output-model
-// input (scalar index by default, one-hot with OneHotActions), mirroring
-// Agent.encode.
-func (ev *Evaluator) encodeAction(stateLen, action int) {
-	ev.encodeActionInto(ev.in, stateLen, action)
-}
-
-// encodeActionInto writes the action encoding into an arbitrary input row
-// (the batch path encodes into rows of its input matrix).
+// encodeActionInto writes the action part of the simplified-output-model
+// input row (scalar index by default, one-hot with OneHotActions),
+// mirroring Agent.encode; the batch path encodes into rows of its input
+// matrix.
 func (ev *Evaluator) encodeActionInto(dst []float64, stateLen, action int) {
 	if !ev.cfg.OneHotActions {
 		dst[stateLen] = float64(action)
@@ -118,7 +90,7 @@ func (ev *Evaluator) growBatch(k int) {
 		ev.bcap = k
 		ev.bin = mat.Zeros(k, ev.model.InputSize())
 		ev.bhid = mat.Zeros(k, ev.cfg.Hidden)
-		ev.bout = mat.Zeros(k, len(ev.out))
+		ev.bout = mat.Zeros(k, ev.kernel.outSize)
 		ev.bq = mat.Zeros(k, ev.cfg.ActionCount)
 		ev.bact = make([]int, k)
 		ev.bbest = make([]float64, k)
@@ -130,7 +102,7 @@ func (ev *Evaluator) growBatch(k int) {
 	// Re-view the backing arrays at k rows (slice caps hold bcap rows).
 	ev.bin = mat.New(k, ev.model.InputSize(), ev.bin.RawData()[:k*ev.model.InputSize()])
 	ev.bhid = mat.New(k, ev.cfg.Hidden, ev.bhid.RawData()[:k*ev.cfg.Hidden])
-	ev.bout = mat.New(k, len(ev.out), ev.bout.RawData()[:k*len(ev.out)])
+	ev.bout = mat.New(k, ev.kernel.outSize, ev.bout.RawData()[:k*ev.kernel.outSize])
 	ev.bq = mat.New(k, ev.cfg.ActionCount, ev.bq.RawData()[:k*ev.cfg.ActionCount])
 	ev.bact = ev.bact[:k]
 	ev.bbest = ev.bbest[:k]

@@ -219,9 +219,12 @@ type Agent struct {
 	dims         timing.OSELMDims
 	counters     *timing.Counters
 
-	// scratch holds the network input [state..., action] to avoid per-call
-	// allocation in the hot path.
-	scratch []float64
+	// kernel evaluates every Q value, scratch holds the network input
+	// [state..., action] and targetRow the target of a sequential update,
+	// so a step allocates nothing.
+	kernel    qKernel
+	scratch   []float64
+	targetRow []float64
 
 	// obs receives structured events and metrics; nil (the default)
 	// disables observability at the cost of one nil check per guard.
@@ -255,7 +258,9 @@ func New(cfg Config) (*Agent, error) {
 			Hidden: cfg.Hidden,
 			Out:    outputSize,
 		},
-		scratch: make([]float64, inputSize),
+		kernel:    newQKernel(cfg, inputSize, outputSize),
+		scratch:   make([]float64, inputSize),
+		targetRow: make([]float64, outputSize),
 	}
 	a.initModels()
 	return a, nil
@@ -328,11 +333,7 @@ func (a *Agent) encode(dst, state []float64, action int) []float64 {
 
 // qValue evaluates Q(s, a) on the given model.
 func (a *Agent) qValue(m *oselm.Model, state []float64, action int) float64 {
-	if a.cfg.StandardOutputModel {
-		return m.PredictOne(state)[action]
-	}
-	in := a.encode(a.scratch, state, action)
-	return m.PredictOne(in)[0]
+	return a.kernel.values(m.Model, state)[action]
 }
 
 // maxQ returns max over actions of Q(s, ·) on model m, and the argmax with
@@ -341,23 +342,7 @@ func (a *Agent) qValue(m *oselm.Model, state []float64, action int) float64 {
 func (a *Agent) maxQ(m *oselm.Model, state []float64) (best float64, argmax int) {
 	best = math.Inf(-1)
 	ties := 0
-	if a.cfg.StandardOutputModel {
-		qs := m.PredictOne(state)
-		for act, q := range qs {
-			switch {
-			case q > best:
-				best, argmax, ties = q, act, 1
-			case q == best:
-				ties++
-				if a.rng.Intn(ties) == 0 {
-					argmax = act
-				}
-			}
-		}
-		return best, argmax
-	}
-	for act := 0; act < a.cfg.ActionCount; act++ {
-		q := a.qValue(m, state, act)
+	for act, q := range a.kernel.values(m.Model, state) {
 		switch {
 		case q > best:
 			best, argmax, ties = q, act, 1
@@ -509,18 +494,16 @@ func (a *Agent) trainFromBuffer() error {
 	k := len(trans)
 	x := mat.Zeros(k, a.dims.In)
 	y := mat.Zeros(k, a.dims.Out)
-	row := make([]float64, a.dims.In)
 	for i, tr := range trans {
 		if a.cfg.StandardOutputModel {
 			x.SetRow(i, tr.State)
 			// The taken action trains toward the Bellman target; untaken
 			// actions toward their current predictions (no-op targets).
-			cur := a.theta1.PredictOne(tr.State)
-			cur[tr.Action] = a.target(tr)
-			y.SetRow(i, cur)
+			y.SetRow(i, a.kernel.values(a.theta1.Model, tr.State))
+			y.Set(i, tr.Action, a.target(tr))
 			continue
 		}
-		x.SetRow(i, a.encode(row, tr.State, tr.Action))
+		x.SetRow(i, a.encode(a.scratch, tr.State, tr.Action))
 		y.Set(i, 0, a.target(tr))
 	}
 	// Target evaluations on θ2: k×ActionCount predictions.
@@ -573,17 +556,17 @@ func (a *Agent) sequentialUpdate(t replay.Transition) error {
 	// (the real device would not execute it).
 	pred := math.NaN()
 	if a.cfg.StandardOutputModel {
-		cur := a.theta1.PredictOne(t.State)
+		cur := a.targetRow
+		copy(cur, a.kernel.values(a.theta1.Model, t.State))
 		pred = cur[t.Action]
 		cur[t.Action] = y
 		err = a.theta1.SeqTrainOne(t.State, cur)
 	} else {
-		in := make([]float64, a.dims.In)
-		a.encode(in, t.State, t.Action)
 		if a.obs != nil {
-			pred = a.theta1.PredictOne(in)[0]
+			pred = a.qValue(a.theta1, t.State, t.Action)
 		}
-		err = a.theta1.SeqTrainOne(in, []float64{y})
+		a.targetRow[0] = y
+		err = a.theta1.SeqTrainOne(a.encode(a.scratch, t.State, t.Action), a.targetRow)
 	}
 	// Work: the target's θ2 evaluations plus the rank-1 update itself.
 	work := float64(a.cfg.ActionCount)*a.dims.PredictFlops() + a.dims.SeqTrainFlops()
