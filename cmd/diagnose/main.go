@@ -59,21 +59,26 @@ func main() {
 		fail(err)
 	}
 	task := env.NewShaped(env.NewCartPoleV0(*seed+100), env.RewardSurvival)
-	if fa, ok := a.(*fpga.Agent); ok {
-		diagnoseFPGA(fa, task, *episodes, *every, *watchdog)
-		return
-	}
 	agent, ok := a.(*qnet.Agent)
-	if !ok {
+	fa, isFPGA := a.(*fpga.Agent)
+	if !ok && !isFPGA {
 		fail(fmt.Errorf("diagnose supports the ELM/OS-ELM designs and FPGA, not %s", d))
 	}
-
+	// The sink-less emitter carries the watchdog and switches the FPGA
+	// core's numeric-health accounting on; it survives the 300-episode
+	// reset rule because Reinitialize re-arms accounting whenever an
+	// observer is installed.
+	emitter := obs.NewEmitter(nil)
 	var wd *obs.Watchdog
 	if *watchdog {
 		wd = obs.NewWatchdog(obs.DefaultWatchdogConfig())
-		emitter := obs.NewEmitter(nil)
 		emitter.SetWatchdog(wd)
-		agent.SetObserver(emitter)
+	}
+	a.(harness.Observable).SetObserver(emitter)
+	if isFPGA {
+		diagnoseFPGA(fa, task, *episodes, *every)
+		printWatchdog(wd)
+		return
 	}
 
 	// Probe states: a fixed random sample of plausible CartPole states.
@@ -92,80 +97,53 @@ func main() {
 	fmt.Printf("%-8s %-8s %-10s %-10s %-10s %-12s %-10s\n",
 		"episode", "avg100", "sigma(B)", "||B||_F", "gainTr(P)", "max|P|", "max|Q|")
 
-	window := make([]float64, 0, *episodes)
-	for ep := 1; ep <= *episodes; ep++ {
-		s := task.Reset()
-		steps := 0
-		for {
-			act := agent.SelectAction(s)
-			ns, r, done := task.Step(act)
-			if err := agent.Observe(replay.Transition{State: s, Action: act, Reward: r, NextState: ns, Done: done}); err != nil {
-				fmt.Println("update error (continuing):", err)
-			}
-			s = ns
-			steps++
-			if done {
-				break
-			}
-		}
-		agent.EndEpisode(ep)
-		window = append(window, float64(steps))
-		if ep%*every == 0 {
-			n := 100
-			if len(window) < n {
-				n = len(window)
-			}
-			sum := 0.0
-			for _, v := range window[len(window)-n:] {
-				sum += v
-			}
-			diag := agent.Snapshot(ep, probes)
-			fmt.Printf("%-8d %-8.1f %-10.3f %-10.3f %-10.4f %-12.3f %-10.3f\n",
-				ep, sum/float64(n), diag.BetaSigmaMax, diag.BetaFrobenius,
-				diag.GainTrace, diag.PMaxAbs, diag.QProbeMax)
-		}
-	}
+	train(agent, task, *episodes, *every, func(ep int, avg100 float64) {
+		diag := agent.Snapshot(ep, probes)
+		fmt.Printf("%-8d %-8.1f %-10.3f %-10.3f %-10.4f %-12.3f %-10.3f\n",
+			ep, avg100, diag.BetaSigmaMax, diag.BetaFrobenius,
+			diag.GainTrace, diag.PMaxAbs, diag.QProbeMax)
+	})
 	final := agent.Snapshot(*episodes, probes)
 	fmt.Printf("\nLipschitz bound σmax(α)·Lip(G)·σmax(β) = %.3f (σmax(α) = %.3f)\n",
 		final.LipschitzBound, final.AlphaSigmaMax)
 	fmt.Println("Relation 13 check: σmax(β) <= ||β||_F:",
 		final.BetaSigmaMax <= final.BetaFrobenius+1e-9)
 
-	if wd != nil {
-		if wd.Diverged() {
-			fmt.Printf("\nWatchdog: DIVERGED (%d alerts)\n", wd.AlertCount())
-			for _, al := range wd.Alerts() {
-				fmt.Printf("  %s on %s: value %g vs threshold %g (%d violations)\n",
-					al.Rule, al.Metric, al.Value, al.Threshold, al.Count)
-			}
-		} else {
-			fmt.Println("\nWatchdog: healthy (zero alerts)")
-		}
-	}
+	printWatchdog(wd)
 }
 
 // diagnoseFPGA runs the fixed-point health table for the quantized
 // datapath: learning progress next to the numeric-health accounting the
 // Qm.f format determines (saturation rate and quantization error of the
-// seq_train module, plus Eq. 5 denominator-guard trips). The observer is
-// a disabled emitter — it costs nothing but switches the core's
-// accounting on, and survives the 300-episode reset rule because
-// Reinitialize re-arms accounting whenever an observer is installed.
-func diagnoseFPGA(agent *fpga.Agent, task env.Env, episodes, every int, watchdog bool) {
-	emitter := obs.NewEmitter(nil)
-	var wd *obs.Watchdog
-	if watchdog {
-		wd = obs.NewWatchdog(obs.DefaultWatchdogConfig())
-		emitter.SetWatchdog(wd)
-	}
-	agent.SetObserver(emitter)
-
+// seq_train module, plus Eq. 5 denominator-guard trips).
+func diagnoseFPGA(agent *fpga.Agent, task env.Env, episodes, every int) {
 	q := agent.Format()
 	fmt.Printf("Fixed-point health diagnostics: FPGA design, %s datapath, %d hidden units\n\n",
 		q, agent.Core().HiddenSize())
 	fmt.Printf("%-8s %-8s %-10s %-10s %-10s %-10s %-12s %-6s\n",
 		"episode", "avg100", "||B||_F", "gainTr(P)", "max|P|", "sat(seq)", "qerr/op", "guard")
 
+	train(agent, task, episodes, every, func(ep int, avg100 float64) {
+		core := agent.Core()
+		sa := core.SeqTrainAcct()
+		qerr := 0.0
+		if sa != nil && sa.Ops > 0 {
+			qerr = sa.QuantErrAbs / float64(sa.Ops)
+		}
+		hid := core.HiddenSize()
+		fmt.Printf("%-8d %-8.1f %-10.3f %-10.4f %-10.3f %-10.2e %-12.3e %-6d\n",
+			ep, avg100, core.Beta.FrobeniusNorm(),
+			core.P.Trace()/float64(hid), maxAbs(core.P),
+			sa.SaturationRate(), qerr, core.DenomGuardTrips())
+	})
+	fmt.Printf("\nFormat: %s (resolution %.3g, max %.6g; storage and cycles are format-invariant)\n",
+		q, q.Resolution(), q.MaxValue())
+}
+
+// train runs the given number of CartPole episodes and, every `every`
+// episodes, calls sample with the episode and the mean length of the last
+// 100 (or fewer) episodes. Update errors are printed and the run goes on.
+func train(agent harness.Agent, task env.Env, episodes, every int, sample func(ep int, avg100 float64)) {
 	window := make([]float64, 0, episodes)
 	for ep := 1; ep <= episodes; ep++ {
 		s := task.Reset()
@@ -185,40 +163,30 @@ func diagnoseFPGA(agent *fpga.Agent, task env.Env, episodes, every int, watchdog
 		agent.EndEpisode(ep)
 		window = append(window, float64(steps))
 		if ep%every == 0 {
-			n := 100
-			if len(window) < n {
-				n = len(window)
-			}
+			n := min(100, len(window))
 			sum := 0.0
 			for _, v := range window[len(window)-n:] {
 				sum += v
 			}
-			core := agent.Core()
-			sa := core.SeqTrainAcct()
-			qerr := 0.0
-			if sa != nil && sa.Ops > 0 {
-				qerr = sa.QuantErrAbs / float64(sa.Ops)
-			}
-			hid := core.HiddenSize()
-			fmt.Printf("%-8d %-8.1f %-10.3f %-10.4f %-10.3f %-10.2e %-12.3e %-6d\n",
-				ep, sum/float64(n), core.Beta.FrobeniusNorm(),
-				core.P.Trace()/float64(hid), maxAbs(core.P),
-				sa.SaturationRate(), qerr, core.DenomGuardTrips())
+			sample(ep, sum/float64(n))
 		}
 	}
+}
 
-	fmt.Printf("\nFormat: %s (resolution %.3g, max %.6g; storage and cycles are format-invariant)\n",
-		q, q.Resolution(), q.MaxValue())
-	if wd != nil {
-		if wd.Diverged() {
-			fmt.Printf("\nWatchdog: DIVERGED (%d alerts)\n", wd.AlertCount())
-			for _, al := range wd.Alerts() {
-				fmt.Printf("  %s on %s: value %g vs threshold %g (%d violations)\n",
-					al.Rule, al.Metric, al.Value, al.Threshold, al.Count)
-			}
-		} else {
-			fmt.Println("\nWatchdog: healthy (zero alerts)")
-		}
+// printWatchdog reports the watchdog's verdict and tripped rules; nil
+// (no -watchdog) prints nothing.
+func printWatchdog(wd *obs.Watchdog) {
+	if wd == nil {
+		return
+	}
+	if !wd.Diverged() {
+		fmt.Println("\nWatchdog: healthy (zero alerts)")
+		return
+	}
+	fmt.Printf("\nWatchdog: DIVERGED (%d alerts)\n", wd.AlertCount())
+	for _, al := range wd.Alerts() {
+		fmt.Printf("  %s on %s: value %g vs threshold %g (%d violations)\n",
+			al.Rule, al.Metric, al.Value, al.Threshold, al.Count)
 	}
 }
 

@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -137,7 +138,7 @@ func run() int {
 			design: d, envName: *envName, task: task, hidden: *hidden,
 			seed: *seed, qformat: qformat, cfg: cfg, tel: tel,
 			manifestPath: *manifestPath, cores: *coresFlag, devices: *devicesFlag,
-			linger: *linger, serveAddr: *serveAddr,
+			linger: *linger, serveAddr: *serveAddr, out: os.Stdout,
 		})
 	}
 
@@ -259,6 +260,8 @@ type fleetParams struct {
 	cores, devices int
 	linger         time.Duration
 	serveAddr      string
+	// out receives the run's report (os.Stdout from the command line).
+	out io.Writer
 }
 
 // runFleetMode trains cores×devices population members (independent
@@ -304,7 +307,7 @@ func runFleetMode(p fleetParams) int {
 		Devices: p.devices,
 	}
 	members := p.cores * p.devices
-	fmt.Printf("Fleet training %s on %s: %d members across %d device(s) x %d core(s), <= %d episodes each ...\n",
+	fmt.Fprintf(p.out, "Fleet training %s on %s: %d members across %d device(s) x %d core(s), <= %d episodes each ...\n",
 		p.design, p.task.Name(), members, p.devices, p.cores, p.cfg.MaxEpisodes)
 	start := time.Now()
 	res, err := harness.RunFleet(spec)
@@ -324,19 +327,19 @@ func runFleetMode(p fleetParams) int {
 			steps += r.TotalSteps
 		}
 	}
-	fmt.Printf("Solved %d/%d members", agg.SolvedCount, agg.Trials)
+	fmt.Fprintf(p.out, "Solved %d/%d members", agg.SolvedCount, agg.Trials)
 	if agg.SolvedCount > 0 {
-		fmt.Printf(" (mean %.1f episodes to solve)", agg.MeanEpisodes)
+		fmt.Fprintf(p.out, " (mean %.1f episodes to solve)", agg.MeanEpisodes)
 	}
-	fmt.Printf("; %d episodes, %d steps total\n", episodes, steps)
+	fmt.Fprintf(p.out, "; %d episodes, %d steps total\n", episodes, steps)
 
-	fmt.Println("Merged modelled device time (all members, serialized reference):")
-	fmt.Print(harness.Breakdown(p.design, res.Merged).Format())
+	fmt.Fprintln(p.out, "Merged modelled device time (all members, serialized reference):")
+	fmt.Fprint(p.out, harness.Breakdown(p.design, res.Merged).Format())
 
 	proj := res.Projection
-	fmt.Printf("\nFleet speedup (resource cap %d cores/device, bound by %s):\n", coreCap, binding)
-	fmt.Print(fleet.FormatSpeedupTable(proj.Curve))
-	fmt.Printf("Modelled fleet time: %.4fs sequential -> %.4fs on %d device(s) x %d core(s) (speedup %.2f)\n",
+	fmt.Fprintf(p.out, "\nFleet speedup (resource cap %d cores/device, bound by %s):\n", coreCap, binding)
+	fmt.Fprint(p.out, fleet.FormatSpeedupTable(proj.Curve))
+	fmt.Fprintf(p.out, "Modelled fleet time: %.4fs sequential -> %.4fs on %d device(s) x %d core(s) (speedup %.2f)\n",
 		proj.SequentialSeconds, proj.FleetSeconds, p.devices, p.cores, proj.Speedup)
 
 	if p.manifestPath != "" {
@@ -363,7 +366,7 @@ func runFleetMode(p fleetParams) int {
 		if err := cli.WriteManifestFile(p.manifestPath, manifest); err != nil {
 			return fail(err)
 		}
-		fmt.Println("Run manifest written to", p.manifestPath)
+		fmt.Fprintln(p.out, "Run manifest written to", p.manifestPath)
 	}
 
 	if p.linger > 0 && p.serveAddr != "" {

@@ -2,13 +2,10 @@ package fpga
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"time"
 
-	"oselmrl/internal/elm"
+	"oselmrl/internal/activation"
 	"oselmrl/internal/fixed"
-	"oselmrl/internal/mat"
 	"oselmrl/internal/obs"
 	"oselmrl/internal/oselm"
 	"oselmrl/internal/qnet"
@@ -21,37 +18,39 @@ import (
 // its prediction and sequential training executed by the fixed-point
 // programmable-logic core, and initial training on the CPU (Figure 3).
 //
-// The control flow is Algorithm 1 exactly as internal/qnet implements it
-// in floating point; here the Determine/Update hot paths run on the
-// cycle-counted fixed-point datapath (Q20 by default; NewAgentQ selects
-// any Qm.f format), and work is recorded in datapath cycles
-// (timing.FPGA125 converts them) for the PL phases and in flops
-// (timing.CortexA9Init) for the CPU-side init_train.
+// Algorithm 1 is internal/qnet.Agent's loop, shared with the float
+// designs, run on a datapath that keeps θ1 and θ2 on the cycle-counted
+// fixed-point core (Q20 by default; NewAgentQ selects any Qm.f format)
+// once init_train has loaded it, and in float64 on the CPU before. PL
+// phases are charged in datapath cycles (timing.FPGA125), CPU phases in
+// flops (timing.CortexA9Init). Agent adds construction, the AXI bus and
+// the accounting and device-profile flushes.
 type Agent struct {
-	cfg qnet.Config
-	rng *rng.RNG
+	loop *qnet.Agent
+	dp   *datapath
+}
 
-	// cpu is the float-side model used before the core is loaded: it owns
-	// the random α/b (with spectral normalization) and runs init_train.
-	cpu *oselm.Model
+// datapath is the qnet.Datapath of the device design.
+type datapath struct {
+	// cpu is the float side: it draws the random α/b (with spectral
+	// normalization), evaluates Q before the load and runs init_train.
+	cpu *qnet.Float
 	// core is the PL datapath holding the quantized θ1.
 	core *Core
-	// beta2 is the quantized target-network output weights (θ2's β; α and
-	// b are shared with θ1 since they are frozen).
-	beta2 *fixed.Matrix
-
-	buffer     *replay.InitStore
-	globalStep int
-	loaded     bool
-	bus        *Bus
-
-	dims        timing.OSELMDims
-	counters    *timing.Counters
-	cycles      CycleModel
-	q           fixed.QFormat
-	scratch     []fixed.Fixed
-	target      [1]fixed.Fixed // the seq_train target word
-	exploreProb float64
+	// beta2 is θ2's β (α and b are frozen, so θ2 shares them with θ1),
+	// copied from the core's β at load and at every θ2 sync.
+	beta2  *fixed.Matrix
+	bus    *Bus
+	cycles CycleModel
+	q      fixed.QFormat
+	// in is the encoded core input, target the seq_train target word and
+	// qs the Q values Values returns.
+	in     []fixed.Fixed
+	target [1]fixed.Fixed
+	qs     []float64
+	loaded bool
+	// busSec is the modelled AXI time of the last parameter load.
+	busSec float64
 
 	// obs receives structured events and metrics; nil disables.
 	obs *obs.Emitter
@@ -67,9 +66,9 @@ type Agent struct {
 
 	// profile records that device-level cycle profiling was requested
 	// (EnableDeviceProfile / harness.Config.DeviceProfile); it survives
-	// Reinitialize — initModels re-arms the fresh core. flushedProf is
-	// the delta-flush snapshot for the fpga_cycles/fpga_bram_access
-	// counters, mirroring the flushed* accounting scheme above.
+	// Reinitialize — Reset re-arms the fresh core. flushedProf is the
+	// delta-flush snapshot for the fpga_cycles/fpga_bram_access counters,
+	// mirroring the flushed* accounting scheme above.
 	profile     bool
 	flushedProf Prof
 }
@@ -83,22 +82,20 @@ func NewAgent(cfg qnet.Config, cycles CycleModel) (*Agent, error) {
 
 // NewAgentQ is NewAgent with the datapath's Qm.f format selectable. The
 // zero format is the Q20 default, bit-identical to NewAgent; resources
-// and cycle counts do not depend on the format.
+// and cycle counts do not depend on the format. cfg is validated as
+// qnet.New validates it.
 func NewAgentQ(cfg qnet.Config, cycles CycleModel, q fixed.QFormat) (*Agent, error) {
 	cfg.Variant = qnet.VariantOSELML2Lipschitz
 	if cfg.Delta == 0 {
 		cfg.Delta = 0.5 // paper §4.1: δ = 0.5 for OS-ELM-L2-Lipschitz
 	}
-	if cfg.ObservationSize <= 0 || cfg.ActionCount <= 0 || cfg.Hidden <= 0 {
-		return nil, fmt.Errorf("fpga: invalid dimensions obs=%d actions=%d hidden=%d",
-			cfg.ObservationSize, cfg.ActionCount, cfg.Hidden)
-	}
-	if cfg.ExploreDecay <= 0 || cfg.ExploreDecay > 1 {
-		return nil, fmt.Errorf("fpga: ExploreDecay must be in (0, 1]: %g", cfg.ExploreDecay)
-	}
-	// The synthesized design is the scalar-action, single-output network
-	// with plain Q-learning targets; refuse what it would silently drop.
+	// The synthesized design is the scalar-action, single-output ReLU
+	// network with plain Q-learning targets; refuse what it would
+	// silently drop.
 	var unsupported []string
+	if cfg.Activation.F != nil && cfg.Activation.Name != activation.ReLU.Name {
+		unsupported = append(unsupported, "Activation "+cfg.Activation.Name)
+	}
 	if cfg.DoubleQ {
 		unsupported = append(unsupported, "DoubleQ")
 	}
@@ -111,28 +108,29 @@ func NewAgentQ(cfg qnet.Config, cycles CycleModel, q fixed.QFormat) (*Agent, err
 	if len(unsupported) > 0 {
 		return nil, fmt.Errorf("fpga: the device design does not implement %s", strings.Join(unsupported, ", "))
 	}
-	res := EstimateResources(cfg.ObservationSize+1, cfg.Hidden)
-	if !res.Feasible {
-		return nil, fmt.Errorf("fpga: %d hidden units do not fit %s (needs %d/%d BRAM36)",
-			cfg.Hidden, XC7Z020.Name, res.BRAM36, XC7Z020.BRAM36)
+	q = q.Normalized()
+	var dp *datapath
+	loop, err := qnet.NewWith(cfg, func(cfg qnet.Config) (qnet.Datapath, error) {
+		res := EstimateResources(cfg.ObservationSize+1, cfg.Hidden)
+		if !res.Feasible {
+			return nil, fmt.Errorf("fpga: %d hidden units do not fit %s (needs %d/%d BRAM36)",
+				cfg.Hidden, XC7Z020.Name, res.BRAM36, XC7Z020.BRAM36)
+		}
+		dp = &datapath{
+			cpu:    qnet.NewFloat(cfg),
+			beta2:  fixed.NewMatrixQ(cfg.Hidden, 1, q),
+			bus:    DefaultBus(),
+			cycles: cycles,
+			q:      q,
+			in:     make([]fixed.Fixed, cfg.ObservationSize+1),
+			qs:     make([]float64, cfg.ActionCount),
+		}
+		return dp, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	a := &Agent{
-		cfg:      cfg,
-		rng:      rng.New(cfg.Seed),
-		buffer:   replay.NewInitStore(cfg.Hidden),
-		counters: timing.NewCounters(),
-		cycles:   cycles,
-		q:        q.Normalized(),
-		dims: timing.OSELMDims{
-			In:     cfg.ObservationSize + 1,
-			Hidden: cfg.Hidden,
-			Out:    1,
-		},
-	}
-	a.scratch = make([]fixed.Fixed, a.dims.In)
-	a.bus = DefaultBus()
-	a.initModels()
-	return a, nil
+	return &Agent{loop: loop, dp: dp}, nil
 }
 
 // MustNewAgent is NewAgent that panics on configuration errors.
@@ -144,52 +142,25 @@ func MustNewAgent(cfg qnet.Config, cycles CycleModel) *Agent {
 	return a
 }
 
-func (a *Agent) initModels() {
-	opts := elm.Options{
-		InitLow:                a.cfg.InitLow,
-		InitHigh:               a.cfg.InitHigh,
-		SpectralNormalizeAlpha: true,
-	}
-	if opts.InitLow == 0 && opts.InitHigh == 0 {
-		opts.InitLow, opts.InitHigh = -1, 1
-	}
-	base := elm.NewModel(a.dims.In, a.cfg.Hidden, 1, a.cfg.Activation, a.rng, opts)
-	a.cpu = oselm.New(base, a.cfg.Delta)
-	a.core = NewCoreQ(a.dims.In, a.cfg.Hidden, 1, a.cycles, a.q)
-	if a.obs != nil {
-		a.core.EnableAccounting()
-	}
-	if a.profile {
-		a.core.EnableProfiling()
-	}
-	a.flushedPredict, a.flushedSeq, a.flushedConv = fixed.Acct{}, fixed.Acct{}, fixed.Acct{}
-	a.flushedGuard = 0
-	a.flushedProf = Prof{}
-	a.beta2 = fixed.NewMatrixQ(a.cfg.Hidden, 1, a.q)
-	a.buffer.Clear()
-	a.globalStep = 0
-	a.loaded = false
-	a.exploreProb = 1 - a.cfg.Epsilon1
-}
-
 // Name returns the paper's design name.
 func (a *Agent) Name() string { return "FPGA" }
 
 // Format returns the datapath's Qm.f format.
-func (a *Agent) Format() fixed.QFormat { return a.q }
+func (a *Agent) Format() fixed.QFormat { return a.dp.q }
 
 // Counters exposes the accumulated timing counters. PL phases are in
 // datapath cycles; init_train is in flops (see timing.ModelMixed).
-func (a *Agent) Counters() *timing.Counters { return a.counters }
+func (a *Agent) Counters() *timing.Counters { return a.loop.Counters() }
 
 // SetObserver installs the observability emitter (harness.Observable) and,
 // when non-nil, turns on the core's per-module numeric-health accounting —
 // accounting is free to the modelled hardware (no cycle or result change)
 // but costs a few integer adds per op, so it follows the emitter's state.
 func (a *Agent) SetObserver(e *obs.Emitter) {
-	a.obs = e
-	if e != nil && !a.core.AccountingEnabled() {
-		a.core.EnableAccounting()
+	a.loop.SetObserver(e)
+	a.dp.obs = e
+	if e != nil && !a.dp.core.AccountingEnabled() {
+		a.dp.core.EnableAccounting()
 	}
 }
 
@@ -203,271 +174,205 @@ func (a *Agent) SetObserver(e *obs.Emitter) {
 // arming is independent so callers can wire either first; it survives
 // Reinitialize.
 func (a *Agent) EnableDeviceProfile() {
-	a.profile = true
-	a.core.EnableProfiling()
-	a.flushedProf = Prof{}
+	a.dp.profile = true
+	a.dp.core.EnableProfiling()
+	a.dp.flushedProf = Prof{}
 }
 
 // DeviceProfileEnabled reports whether EnableDeviceProfile has been
 // called.
-func (a *Agent) DeviceProfileEnabled() bool { return a.profile }
+func (a *Agent) DeviceProfileEnabled() bool { return a.dp.profile }
 
 // Core exposes the datapath for white-box tests.
-func (a *Agent) Core() *Core { return a.core }
+func (a *Agent) Core() *Core { return a.dp.core }
+
+// Bus exposes the AXI transfer model (tests, reporting).
+func (a *Agent) Bus() *Bus { return a.dp.bus }
 
 // Trained reports whether the core has been loaded after init training.
-func (a *Agent) Trained() bool { return a.loaded }
-
-func (a *Agent) encode(state []float64, action int) []fixed.Fixed {
-	for i, v := range state {
-		a.scratch[i] = a.q.FromFloat(v)
-	}
-	a.scratch[len(state)] = a.q.FromFloat(float64(action))
-	return a.scratch
-}
-
-// maxQCore evaluates max/argmax over actions on the core using beta.
-func (a *Agent) maxQCore(beta *fixed.Matrix, state []float64) (float64, int) {
-	best, arg, ties := math.Inf(-1), 0, 0
-	for act := 0; act < a.cfg.ActionCount; act++ {
-		in := a.encode(state, act)
-		var q float64
-		if beta == nil {
-			q = a.q.Float(a.core.Predict(in)[0])
-		} else {
-			q = a.q.Float(a.core.PredictUsing(beta, in)[0])
-		}
-		switch {
-		case q > best:
-			best, arg, ties = q, act, 1
-		case q == best:
-			ties++
-			if a.rng.Intn(ties) == 0 {
-				arg = act
-			}
-		}
-	}
-	return best, arg
-}
-
-// maxQCPU is the pre-load float path (before init training completes).
-func (a *Agent) maxQCPU(state []float64, useTheta2 bool) (float64, int) {
-	in := make([]float64, a.dims.In)
-	copy(in, state)
-	best, arg, ties := math.Inf(-1), 0, 0
-	for act := 0; act < a.cfg.ActionCount; act++ {
-		in[len(state)] = float64(act)
-		q := a.cpu.PredictOne(in)[0]
-		_ = useTheta2 // pre-load, θ2 == θ1 == untrained; same model
-		switch {
-		case q > best:
-			best, arg, ties = q, act, 1
-		case q == best:
-			ties++
-			if a.rng.Intn(ties) == 0 {
-				arg = act
-			}
-		}
-	}
-	return best, arg
-}
+func (a *Agent) Trained() bool { return a.dp.loaded }
 
 // SelectAction implements Algorithm 1 lines 10-13.
-func (a *Agent) SelectAction(state []float64) int {
-	if a.rng.Float64() < a.exploreProb {
-		return a.rng.Intn(a.cfg.ActionCount)
-	}
-	if !a.loaded {
-		sp := a.obs.StartSpan(string(timing.PhasePredictInit))
-		_, act := a.maxQCPU(state, false)
-		a.counters.AddN(timing.PhasePredictInit, int64(a.cfg.ActionCount),
-			float64(a.cfg.ActionCount)*a.dims.PredictFlops())
-		if sp.Active() {
-			sp.EndModelled(timing.CortexA9Init.Seconds(timing.PhasePredictInit,
-				int64(a.cfg.ActionCount), float64(a.cfg.ActionCount)*a.dims.PredictFlops()))
-		}
-		return act
-	}
-	sp := a.obs.StartSpan(string(timing.PhasePredictSeq))
-	start := a.core.Cycles()
-	_, act := a.maxQCore(nil, state)
-	cycles := float64(a.core.Cycles() - start)
-	a.counters.AddN(timing.PhasePredictSeq, int64(a.cfg.ActionCount), cycles)
-	if sp.Active() {
-		// Modelled PL time: datapath cycles at 125 MHz plus one AXI
-		// handshake per action-candidate invocation.
-		sp.EndModelled(timing.FPGA125.Seconds(timing.PhasePredictSeq,
-			int64(a.cfg.ActionCount), cycles))
-	}
-	return act
-}
+func (a *Agent) SelectAction(state []float64) int { return a.loop.SelectAction(state) }
 
 // GreedyAction evaluates without exploration.
-func (a *Agent) GreedyAction(state []float64) int {
-	if !a.loaded {
-		_, act := a.maxQCPU(state, false)
-		return act
-	}
-	_, act := a.maxQCore(nil, state)
-	return act
-}
+func (a *Agent) GreedyAction(state []float64) int { return a.loop.GreedyAction(state) }
 
-// Observe implements Algorithm 1 lines 14-22.
+// Observe implements Algorithm 1 lines 14-22. The step that loads the
+// core publishes the load's conversion accounting at once — a NaN or rail
+// hit at the DMA boundary should alert now, not at the end of the episode
+// — and the device profile with it, so the load phase's BRAM writes
+// surface right away too.
 func (a *Agent) Observe(t replay.Transition) error {
-	a.globalStep++
-	if !a.loaded {
-		sp := a.obs.StartSpan("buffer_refill")
-		a.buffer.Add(t)
-		if a.obs != nil {
-			a.obs.SetGauge(obs.GaugeBufferOccupancy, float64(a.buffer.Len())/float64(a.buffer.Cap()))
-		}
-		sp.End()
-		if a.buffer.Full() {
-			return a.initTrain()
-		}
-		return nil
+	loaded := a.dp.loaded
+	err := a.loop.Observe(t)
+	if a.dp.loaded && !loaded {
+		a.dp.flushAccounting()
+		a.dp.flushProfile()
 	}
-	if a.rng.Float64() < a.cfg.Epsilon2 {
-		a.sequentialUpdate(t)
-	} else {
-		a.obs.Inc(obs.MetricSeqSkipped, 1)
-	}
-	return nil
+	return err
 }
 
-// initTrain runs the CPU-side ReOS-ELM initial training (Eq. 8) and DMA-loads
-// the quantized parameters into the core.
-func (a *Agent) initTrain() error {
-	sp := a.obs.StartSpan(string(timing.PhaseInitTrain))
-	t0 := a.obs.Now()
-	trans := a.buffer.Drain()
-	k := len(trans)
-	x := mat.Zeros(k, a.dims.In)
-	y := mat.Zeros(k, 1)
-	in := make([]float64, a.dims.In)
-	for i, tr := range trans {
-		copy(in, tr.State)
-		in[len(tr.State)] = float64(tr.Action)
-		x.SetRow(i, in)
-		// Targets from the untrained θ2 are just the clipped rewards; the
-		// float path computes them exactly as qnet does.
-		yv := tr.Reward
-		if !tr.Done {
-			next, _ := a.maxQCPU(tr.NextState, true)
-			yv += a.cfg.Gamma * next
-		}
-		if yv < a.cfg.ClipLow {
-			yv = a.cfg.ClipLow
-		}
-		if yv > a.cfg.ClipHigh {
-			yv = a.cfg.ClipHigh
-		}
-		y.Set(i, 0, yv)
+// EndEpisode runs Algorithm 1's episode end (the θ2 sync every
+// UpdateEvery episodes) between flushes of the episode's numeric-health
+// accounting and device profile.
+func (a *Agent) EndEpisode(episode int) {
+	a.dp.flushAccounting()
+	a.loop.EndEpisode(episode)
+	a.dp.flushProfile()
+}
+
+// Reinitialize draws fresh weights (the 300-episode reset rule), keeping
+// accumulated timing counters.
+func (a *Agent) Reinitialize() { a.loop.Reinitialize() }
+
+// GlobalStep returns Observe calls since (re)initialization.
+func (a *Agent) GlobalStep() int { return a.loop.GlobalStep() }
+
+// Reset implements qnet.Datapath: fresh float weights and an empty core.
+func (d *datapath) Reset(r *rng.RNG) {
+	d.cpu.Reset(r)
+	d.core = NewCoreQ(len(d.in), d.beta2.Rows(), 1, d.cycles, d.q)
+	if d.obs != nil {
+		d.core.EnableAccounting()
 	}
-	if err := a.cpu.InitTrain(x, y); err != nil {
+	if d.profile {
+		d.core.EnableProfiling()
+	}
+	d.flushedPredict, d.flushedSeq, d.flushedConv = fixed.Acct{}, fixed.Acct{}, fixed.Acct{}
+	d.flushedGuard = 0
+	d.flushedProf = Prof{}
+	d.loaded = false
+}
+
+// Initialized implements qnet.Datapath.
+func (d *datapath) Initialized() bool { return d.loaded }
+
+func (d *datapath) encode(state []float64, action int) []fixed.Fixed {
+	for i, v := range state {
+		d.in[i] = d.q.FromFloat(v)
+	}
+	d.in[len(state)] = d.q.FromFloat(float64(action))
+	return d.in
+}
+
+// Values implements qnet.Datapath: one predict invocation on the core per
+// action, with θ1's β or θ2's. Before the load both are the untrained
+// float θ1 on the CPU.
+func (d *datapath) Values(state []float64, target bool) []float64 {
+	if !d.loaded {
+		return d.cpu.Values(state, target)
+	}
+	beta := d.core.Beta
+	if target {
+		beta = d.beta2
+	}
+	for act := range d.qs {
+		d.qs[act] = d.q.Float(d.core.PredictUsing(beta, d.encode(state, act))[0])
+	}
+	return d.qs
+}
+
+// Probe implements qnet.Datapath through PredictSilent, which the cycle
+// model, the accounting and the profiler do not see.
+func (d *datapath) Probe(state []float64, action int) float64 {
+	return d.q.Float(d.core.PredictSilent(d.encode(state, action))[0])
+}
+
+// InitTrain implements qnet.Datapath: the CPU-side ReOS-ELM initial
+// training (Eq. 8), then the DMA load of the quantized parameters into
+// the core over the AXI bus.
+func (d *datapath) InitTrain(batch []replay.Transition, y []float64, event map[string]float64) error {
+	d.busSec = 0
+	if err := d.cpu.InitTrain(batch, y, nil); err != nil {
 		return fmt.Errorf("fpga: cpu init training: %w", err)
 	}
-	work := float64(k*a.cfg.ActionCount)*a.dims.PredictFlops() + a.dims.InitTrainFlops(k)
-	a.counters.Add(timing.PhaseInitTrain, work)
-
-	a.core.LoadFloat(a.cpu.Alpha, a.cpu.Bias, a.cpu.Beta, a.cpu.P)
-	a.beta2 = fixed.FromDenseQ(a.cpu.Beta, a.q, nil)
-	// The AXI bulk load of the quantized parameters rides on the CPU side
-	// of the init_train phase; its duration converts to that profile's
-	// work units so the breakdown stays single-unit per phase.
-	busSec := a.bus.LoadCoreParameters(a.core)
-	a.counters.AddN(timing.PhaseInitTrain, 0, busSec*timing.CortexA9Init.WorkUnitsPerSec)
-	a.loaded = true
-	if a.obs != nil {
-		// CPU-side modelled time for the solve plus the AXI bulk load,
-		// expressed in the same profile's work units as the counters.
-		model := timing.CortexA9Init.Seconds(timing.PhaseInitTrain, 1,
-			work+busSec*timing.CortexA9Init.WorkUnitsPerSec)
-		sp.EndModelled(model)
-		d := time.Since(t0)
-		a.obs.AddWall(string(timing.PhaseInitTrain), d)
-		a.obs.Inc(obs.MetricInitTrains, 1)
-		a.obs.SetGauge(obs.GaugeBufferOccupancy, 0)
-		a.obs.Emit(obs.EventInitTrain, 0, map[string]float64{
-			"size":        float64(k),
-			"step":        float64(a.globalStep),
-			"bus_load_ms": busSec * 1e3,
-			"dur_ms":      float64(d) / float64(time.Millisecond),
-			"model_ms":    model * 1e3,
-		})
-		// Publish the parameter-load conversion accounting immediately —
-		// a NaN or rail hit at the DMA boundary should alert now, not at
-		// the end of the episode. The device profile flushes with it so
-		// the load phase's BRAM writes surface right away too.
-		a.flushAccounting()
-		a.flushProfile()
+	t1 := d.cpu.Theta1()
+	d.core.LoadFloat(t1.Alpha, t1.Bias, t1.Beta, t1.P)
+	d.copyBeta2()
+	d.busSec = d.bus.LoadCoreParameters(d.core)
+	d.loaded = true
+	if event != nil {
+		event["bus_load_ms"] = d.busSec * 1e3
 	}
 	return nil
 }
 
-// sequentialUpdate computes the clipped target with the θ2 β on the core
-// and runs the seq_train module.
-func (a *Agent) sequentialUpdate(t replay.Transition) {
-	sp := a.obs.StartSpan(string(timing.PhaseSeqTrain))
-	t0 := a.obs.Now()
-	start := a.core.Cycles()
-	y := t.Reward
-	if !t.Done {
-		next, _ := a.maxQCore(a.beta2, t.NextState)
-		y += a.cfg.Gamma * next
-	}
-	clipped := false
-	if y < a.cfg.ClipLow {
-		y = a.cfg.ClipLow
-		clipped = true
-	}
-	if y > a.cfg.ClipHigh {
-		y = a.cfg.ClipHigh
-		clipped = true
-	}
-	in := a.encode(t.State, t.Action)
-	// pred is θ1's Q(s,a) before the update, read through PredictSilent so
-	// the observability probe is invisible to the cycle model and the
-	// accounting (the real core would not execute it).
-	pred := math.NaN()
-	if a.obs != nil {
-		pred = a.q.Float(a.core.PredictSilent(in)[0])
-	}
-	// With both tracing and profiling on, snapshot the profile around
-	// SeqTrain so the update's per-kernel breakdown can be replayed as
-	// spans on a dedicated modelled-device track.
-	kernelSpans := sp.Active() && a.core.ProfilingEnabled()
+// SeqTrain implements qnet.Datapath with the core's seq_train module.
+// With both tracing and profiling on, the profile is snapshotted around
+// the update so its per-kernel breakdown can be replayed as spans on a
+// dedicated modelled-device track.
+func (d *datapath) SeqTrain(state []float64, action int, y float64) error {
+	in := d.encode(state, action)
+	kernelSpans := d.obs.Tracer() != nil && d.core.ProfilingEnabled()
 	var profBefore Prof
 	if kernelSpans {
-		profBefore = *a.core.Prof()
+		profBefore = *d.core.Prof()
 	}
-	a.target[0] = a.q.FromFloat(y)
-	a.core.SeqTrain(in, a.target[:])
-	cycles := float64(a.core.Cycles() - start)
-	a.counters.Add(timing.PhaseSeqTrain, cycles)
+	d.target[0] = d.q.FromFloat(y)
+	d.core.SeqTrain(in, d.target[:])
 	if kernelSpans {
-		a.emitKernelSpans(profBefore)
+		d.emitKernelSpans(profBefore)
 	}
-	if a.obs != nil {
-		model := timing.FPGA125.Seconds(timing.PhaseSeqTrain, 1, cycles)
-		sp.EndModelled(model)
-		d := time.Since(t0)
-		tdErr := y - pred
-		a.obs.AddWall(string(timing.PhaseSeqTrain), d)
-		a.obs.Inc(obs.MetricSeqUpdates, 1)
-		a.obs.Inc(obs.MetricTargets, 1)
-		if clipped {
-			a.obs.Inc(obs.MetricTargetsClipped, 1)
-		}
-		a.obs.Observe(obs.HistLearnTDErrorAbs, math.Abs(tdErr))
-		a.obs.Observe(obs.HistLearnQValue, pred)
-		a.obs.Emit(obs.EventSeqUpdate, 0, map[string]float64{
-			"step":     float64(a.globalStep),
-			"target":   y,
-			"td_error": tdErr,
-			"dur_ms":   float64(d) / float64(time.Millisecond),
-			"model_ms": model * 1e3,
-		})
+	return nil
+}
+
+// Sync implements qnet.Datapath: θ2's β ← the core's β, once loaded.
+func (d *datapath) Sync() bool {
+	if !d.loaded {
+		return false
+	}
+	d.copyBeta2()
+	d.core.NoteTheta2Sync()
+	return true
+}
+
+// copyBeta2 sets θ2's β to the core's β in place.
+func (d *datapath) copyBeta2() {
+	for i := 0; i < d.beta2.Rows(); i++ {
+		copy(d.beta2.Row(i), d.core.Beta.Row(i))
+	}
+}
+
+// Mark implements qnet.Datapath: the core's cycle counter.
+func (d *datapath) Mark() int64 { return d.core.Cycles() }
+
+// Charge implements qnet.Datapath. The PL phases cost the core cycles
+// since mark, the CPU phases flops at the Cortex-A9 profile; a predict is
+// one invocation (and, on the PL, one AXI handshake) per action
+// candidate. init_train also carries the AXI bulk load of the quantized
+// parameters, converted to the CPU profile's work units so the breakdown
+// stays single-unit per phase.
+func (d *datapath) Charge(c *timing.Counters, p timing.Phase, flops float64, mark int64) float64 {
+	calls := int64(1)
+	if p == timing.PhasePredictInit || p == timing.PhasePredictSeq {
+		calls = int64(len(d.qs))
+	}
+	if p == timing.PhasePredictSeq || p == timing.PhaseSeqTrain {
+		cycles := float64(d.core.Cycles() - mark)
+		c.AddN(p, calls, cycles)
+		return timing.FPGA125.Seconds(p, calls, cycles)
+	}
+	c.AddN(p, calls, flops)
+	if p == timing.PhaseInitTrain {
+		bus := d.busSec * timing.CortexA9Init.WorkUnitsPerSec
+		c.AddN(p, 0, bus)
+		flops += bus
+	}
+	return timing.CortexA9Init.Seconds(p, calls, flops)
+}
+
+// Health implements qnet.Datapath from the core's β and P.
+func (d *datapath) Health() oselm.NumericHealth {
+	norm := d.core.Beta.FrobeniusNorm()
+	return oselm.NumericHealth{
+		BetaNorm: norm,
+		// β is a single column, so its largest singular value is its norm.
+		BetaSigmaMax: norm,
+		PTrace:       d.core.P.Trace() / float64(d.core.HiddenSize()),
+		PCondProxy: oselm.DiagCondProxy(d.core.HiddenSize(), func(i int) float64 {
+			return d.q.Float(d.core.P.At(i, i))
+		}),
 	}
 }
 
@@ -477,12 +382,12 @@ func (a *Agent) sequentialUpdate(t replay.Transition) {
 // the track reads as the paper-style cycle breakdown of each update.
 // Kernel spans carry pure datapath time (cycles at 125 MHz, no AXI
 // overhead — the parent seq_train span already models the handshake).
-func (a *Agent) emitKernelSpans(before Prof) {
-	tr := a.obs.Tracer()
+func (d *datapath) emitKernelSpans(before Prof) {
+	tr := d.obs.Tracer()
 	if tr == nil {
 		return
 	}
-	cur := a.core.Prof()
+	cur := d.core.Prof()
 	for k := ProfKernel(0); k < NumProfKernels; k++ {
 		var cyc int64
 		for u := ProfUnit(0); u < NumProfUnits; u++ {
@@ -500,43 +405,43 @@ func (a *Agent) emitKernelSpans(before Prof) {
 // (the accumulators are cumulative), gauges carry the cumulative
 // quantization error and run-so-far saturation rates the watchdog
 // evaluates.
-func (a *Agent) flushAccounting() {
-	if a.obs == nil || !a.core.AccountingEnabled() {
+func (d *datapath) flushAccounting() {
+	if d.obs == nil || !d.core.AccountingEnabled() {
 		return
 	}
-	pa, sa, ca := *a.core.PredictAcct(), *a.core.SeqTrainAcct(), *a.core.ConvAcct()
-	a.obs.Inc(obs.MetricFixedOpsPredict, pa.Ops-a.flushedPredict.Ops)
-	a.obs.Inc(obs.MetricFixedSaturationsPredict, pa.Saturations-a.flushedPredict.Saturations)
-	a.obs.Inc(obs.MetricFixedOpsSeqTrain, sa.Ops-a.flushedSeq.Ops)
-	a.obs.Inc(obs.MetricFixedSaturationsSeqTrain, sa.Saturations-a.flushedSeq.Saturations)
-	a.obs.Inc(obs.MetricFixedOpsLoad, ca.Ops-a.flushedConv.Ops)
-	a.obs.Inc(obs.MetricFixedSaturationsLoad, ca.Saturations-a.flushedConv.Saturations)
-	if d := (pa.NaNs - a.flushedPredict.NaNs) + (sa.NaNs - a.flushedSeq.NaNs) +
-		(ca.NaNs - a.flushedConv.NaNs); d > 0 {
-		a.obs.Inc(obs.MetricFixedNaNs, d)
+	pa, sa, ca := *d.core.PredictAcct(), *d.core.SeqTrainAcct(), *d.core.ConvAcct()
+	d.obs.Inc(obs.MetricFixedOpsPredict, pa.Ops-d.flushedPredict.Ops)
+	d.obs.Inc(obs.MetricFixedSaturationsPredict, pa.Saturations-d.flushedPredict.Saturations)
+	d.obs.Inc(obs.MetricFixedOpsSeqTrain, sa.Ops-d.flushedSeq.Ops)
+	d.obs.Inc(obs.MetricFixedSaturationsSeqTrain, sa.Saturations-d.flushedSeq.Saturations)
+	d.obs.Inc(obs.MetricFixedOpsLoad, ca.Ops-d.flushedConv.Ops)
+	d.obs.Inc(obs.MetricFixedSaturationsLoad, ca.Saturations-d.flushedConv.Saturations)
+	if n := (pa.NaNs - d.flushedPredict.NaNs) + (sa.NaNs - d.flushedSeq.NaNs) +
+		(ca.NaNs - d.flushedConv.NaNs); n > 0 {
+		d.obs.Inc(obs.MetricFixedNaNs, n)
 	}
-	a.obs.SetGauge(obs.GaugeFixedQuantErrPredict, pa.QuantErrAbs)
-	a.obs.SetGauge(obs.GaugeFixedQuantErrSeqTrain, sa.QuantErrAbs)
-	a.obs.SetGauge(obs.GaugeFixedQuantErrLoad, ca.QuantErrAbs)
-	a.obs.SetGauge(obs.GaugeFixedSaturationRatePredict, pa.SaturationRate())
-	a.obs.SetGauge(obs.GaugeFixedSaturationRateSeqTrain, sa.SaturationRate())
-	if trips := a.core.DenomGuardTrips(); trips > a.flushedGuard {
-		a.obs.Inc(obs.MetricFixedDenomGuard, trips-a.flushedGuard)
-		if a.flushedGuard == 0 {
+	d.obs.SetGauge(obs.GaugeFixedQuantErrPredict, pa.QuantErrAbs)
+	d.obs.SetGauge(obs.GaugeFixedQuantErrSeqTrain, sa.QuantErrAbs)
+	d.obs.SetGauge(obs.GaugeFixedQuantErrLoad, ca.QuantErrAbs)
+	d.obs.SetGauge(obs.GaugeFixedSaturationRatePredict, pa.SaturationRate())
+	d.obs.SetGauge(obs.GaugeFixedSaturationRateSeqTrain, sa.SaturationRate())
+	if trips := d.core.DenomGuardTrips(); trips > d.flushedGuard {
+		d.obs.Inc(obs.MetricFixedDenomGuard, trips-d.flushedGuard)
+		if d.flushedGuard == 0 {
 			// First trip of the run: a rejected Eq. 5 update means P was
 			// saturated or poisoned — surface it as a numeric alert, once,
 			// the same shape the divergence watchdog emits.
-			a.obs.With(map[string]string{
+			d.obs.With(map[string]string{
 				"rule":   "seq_train_denom_guard",
 				"metric": obs.MetricFixedDenomGuard,
 			}).Emit(obs.EventNumericAlert, 0, map[string]float64{
 				"value":     float64(trips),
-				"threshold": a.q.Float(a.core.denomFloor),
+				"threshold": d.q.Float(d.core.denomFloor),
 			})
 		}
-		a.flushedGuard = trips
+		d.flushedGuard = trips
 	}
-	a.flushedPredict, a.flushedSeq, a.flushedConv = pa, sa, ca
+	d.flushedPredict, d.flushedSeq, d.flushedConv = pa, sa, ca
 }
 
 // flushProfile publishes the device profiler's attribution to the
@@ -545,12 +450,12 @@ func (a *Agent) flushAccounting() {
 // labels), refreshes the cumulative occupancy/roofline gauges, and emits
 // one cumulative device_profile event — the record cmd/runlog's profile
 // report is built from. No-op when nothing changed since the last flush.
-func (a *Agent) flushProfile() {
-	if a.obs == nil || !a.core.ProfilingEnabled() {
+func (d *datapath) flushProfile() {
+	if d.obs == nil || !d.core.ProfilingEnabled() {
 		return
 	}
-	cur := *a.core.Prof()
-	if cur == a.flushedProf {
+	cur := *d.core.Prof()
+	if cur == d.flushedProf {
 		return
 	}
 	data := map[string]float64{"total_cycles": float64(cur.TotalCycles())}
@@ -561,9 +466,9 @@ func (a *Agent) flushProfile() {
 				if v != 0 {
 					data["cycles_"+ph.String()+"_"+k.String()+"_"+u.String()] = float64(v)
 				}
-				if d := v - a.flushedProf.Cycles(ph, k, u); d != 0 {
-					a.obs.Inc(obs.Labeled(obs.MetricFPGACycles,
-						"phase", ph.String(), "kernel", k.String(), "unit", u.String()), d)
+				if n := v - d.flushedProf.Cycles(ph, k, u); n != 0 {
+					d.obs.Inc(obs.Labeled(obs.MetricFPGACycles,
+						"phase", ph.String(), "kernel", k.String(), "unit", u.String()), n)
 				}
 			}
 		}
@@ -574,56 +479,25 @@ func (a *Agent) flushProfile() {
 			if v != 0 {
 				data["bram_"+bank.String()+"_"+op.String()] = float64(v)
 			}
-			if d := v - a.flushedProf.BRAM(bank, op); d != 0 {
-				a.obs.Inc(obs.Labeled(obs.MetricFPGABRAMAccess,
-					"bank", bank.String(), "op", op.String()), d)
+			if n := v - d.flushedProf.BRAM(bank, op); n != 0 {
+				d.obs.Inc(obs.Labeled(obs.MetricFPGABRAMAccess,
+					"bank", bank.String(), "op", op.String()), n)
 			}
 		}
 	}
 	if cur.TotalCycles() > 0 {
 		for u := UnitAdd; u <= UnitInvoke; u++ {
-			a.obs.SetGauge(obs.Labeled(obs.GaugeFPGAUnitBusy, "unit", u.String()),
+			d.obs.SetGauge(obs.Labeled(obs.GaugeFPGAUnitBusy, "unit", u.String()),
 				cur.UnitBusyFraction(u))
 			if n := cur.UnitOps(u); n > 0 {
 				data["ops_"+u.String()] = float64(n)
 			}
 		}
-		a.obs.SetGauge(obs.GaugeFPGAOpsPerCycle, cur.OpsPerCycle())
+		d.obs.SetGauge(obs.GaugeFPGAOpsPerCycle, cur.OpsPerCycle())
 	}
-	a.obs.Emit(obs.EventDeviceProfile, 0, data)
-	a.flushedProf = cur
+	d.obs.Emit(obs.EventDeviceProfile, 0, data)
+	d.flushedProf = cur
 }
-
-// EndEpisode syncs θ2's β every UpdateEvery episodes (Algorithm 1 line 23-24)
-// and flushes the episode's numeric-health accounting and device profile.
-func (a *Agent) EndEpisode(episode int) {
-	a.exploreProb *= a.cfg.ExploreDecay
-	a.flushAccounting()
-	if episode%a.cfg.UpdateEvery == 0 && a.loaded {
-		a.beta2 = a.core.Beta.Clone()
-		a.core.NoteTheta2Sync()
-		if a.obs != nil {
-			betaNorm := a.core.Beta.FrobeniusNorm()
-			a.obs.Inc(obs.MetricTheta2Syncs, 1)
-			a.obs.SetGauge(obs.GaugeLearnBetaNorm, betaNorm)
-			a.obs.SetGauge(obs.GaugeLearnPTrace, a.core.P.Trace()/float64(a.cfg.Hidden))
-			a.obs.Emit(obs.EventTheta2Sync, episode, map[string]float64{
-				"beta_norm": betaNorm,
-			})
-		}
-	}
-	a.flushProfile()
-}
-
-// Reinitialize draws fresh weights (the 300-episode reset rule), keeping
-// accumulated timing counters.
-func (a *Agent) Reinitialize() { a.initModels() }
-
-// GlobalStep returns Observe calls since (re)initialization.
-func (a *Agent) GlobalStep() int { return a.globalStep }
-
-// Bus exposes the AXI transfer model (tests, reporting).
-func (a *Agent) Bus() *Bus { return a.bus }
 
 // PhaseProfiles returns the per-phase device profiles for ModelMixed: PL
 // phases at 125 MHz cycles, CPU phases at the software profile.

@@ -260,6 +260,37 @@ func TestAgentStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestAgentPreloadSelectAndSyncDoNotAllocate: before the core is loaded a
+// greedy SelectAction evaluates the float θ1 through qnet's Q kernel, and
+// a loaded θ2 sync copies β into θ2's preallocated matrix, so with no
+// observer neither allocates.
+func TestAgentPreloadSelectAndSyncDoNotAllocate(t *testing.T) {
+	cfg := qnet.DefaultConfig(qnet.VariantOSELML2Lipschitz, 4, 2, 8)
+	cfg.Seed = 5
+	cfg.Epsilon1 = 1 // never explore: every action runs predict
+	a := MustNewAgent(cfg, DefaultCycleModel())
+	s := []float64{0.1, 0.2, 0.3, 0.4}
+	if allocs := testing.AllocsPerRun(100, func() { a.SelectAction(s) }); allocs != 0 {
+		t.Errorf("pre-load greedy SelectAction allocates %g objects, want 0", allocs)
+	}
+	if a.Trained() || a.Counters().Calls(timing.PhasePredictInit) == 0 {
+		t.Fatal("the measured selections did not run the pre-load predict")
+	}
+	tr := replay.Transition{State: s, NextState: s, Reward: 0.1}
+	for !a.Trained() {
+		if err := a.Observe(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := a.Core().Cycles()
+	if allocs := testing.AllocsPerRun(100, func() { a.EndEpisode(cfg.UpdateEvery) }); allocs != 0 {
+		t.Errorf("loaded θ2 sync allocates %g objects, want 0", allocs)
+	}
+	if a.Core().Cycles() != before {
+		t.Error("θ2 sync charged datapath cycles")
+	}
+}
+
 // TestAgentLearnsCartPole: integration — the fixed-point agent improves on
 // CartPole (moving average well above the random baseline of ~20 steps).
 func TestAgentLearnsCartPole(t *testing.T) {

@@ -228,3 +228,59 @@ func TestRunTrialsLabelsEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestFPGARunPublishesLearnSeries: the FPGA design runs the same
+// Algorithm 1 loop as the float designs, so a run with an emitter
+// publishes the float design's learn series at θ2 sync — σmax(β) as gauge
+// and histogram, the P-condition proxy and the clip rate — and every
+// theta2_sync event carries σmax(β). Its target counter covers the
+// init_train targets as well as the sequential ones.
+func TestFPGARunPublishesLearnSeries(t *testing.T) {
+	var buf bytes.Buffer
+	emitter := obs.NewEmitter(obs.NewJSONLSink(&buf))
+	const hidden = 16
+	agent, err := NewAgent(DesignFPGA, 4, 2, hidden, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := Defaults()
+	rc.MaxEpisodes = 60
+	rc.Obs = emitter
+	if res := Run(agent, env.NewShaped(env.NewCartPoleV0(105), env.RewardSurvival), rc); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	snap := emitter.Metrics().Snapshot()
+	if err := emitter.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, g := range []string{obs.GaugeBetaSigmaMax, obs.GaugeLearnPCond, obs.GaugeLearnClipRate} {
+		if v, ok := snap.Gauges[g]; !ok || !(v > 0) {
+			t.Errorf("gauge %s = %v (present %v), want a positive value", g, v, ok)
+		}
+	}
+	if h := snap.Histograms[obs.GaugeBetaSigmaMax]; h == nil || h.N == 0 {
+		t.Errorf("no %s histogram observations", obs.GaugeBetaSigmaMax)
+	}
+	syncs := 0
+	for _, ev := range events {
+		if ev.Type != obs.EventTheta2Sync {
+			continue
+		}
+		syncs++
+		if v, ok := ev.Data["beta_sigma_max"]; !ok || !(v > 0) {
+			t.Fatalf("theta2_sync event at episode %d lacks beta_sigma_max: %v", ev.Episode, ev.Data)
+		}
+	}
+	if syncs == 0 || int64(syncs) != snap.Counter(obs.MetricTheta2Syncs) {
+		t.Errorf("%d theta2_sync events, %d counted", syncs, snap.Counter(obs.MetricTheta2Syncs))
+	}
+	if got, want := snap.Counter(obs.MetricTargets),
+		snap.Counter(obs.MetricSeqUpdates)+hidden*snap.Counter(obs.MetricInitTrains); got != want {
+		t.Errorf("targets = %d, want seq_updates + Ñ·init_trains = %d", got, want)
+	}
+}

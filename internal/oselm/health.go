@@ -35,10 +35,18 @@ func (m *Model) Health() NumericHealth {
 		return h
 	}
 	h.PTrace = m.GainTrace()
+	h.PCondProxy = DiagCondProxy(m.P.Rows(), func(i int) float64 { return m.P.At(i, i) })
+	return h
+}
+
+// DiagCondProxy returns NumericHealth.PCondProxy for an n×n matrix whose
+// diagonal entries diag returns: max|d|/min|d|, or math.MaxFloat64 when
+// an entry is non-positive or zero.
+func DiagCondProxy(n int, diag func(i int) float64) float64 {
 	minAbs, maxAbs := math.Inf(1), 0.0
 	degenerate := false
-	for i := 0; i < m.P.Rows(); i++ {
-		d := m.P.At(i, i)
+	for i := 0; i < n; i++ {
+		d := diag(i)
 		if d <= 0 {
 			degenerate = true
 		}
@@ -50,11 +58,8 @@ func (m *Model) Health() NumericHealth {
 			maxAbs = a
 		}
 	}
-	switch {
-	case degenerate || minAbs == 0:
-		h.PCondProxy = math.MaxFloat64
-	default:
-		h.PCondProxy = maxAbs / minAbs
+	if degenerate || minAbs == 0 {
+		return math.MaxFloat64
 	}
-	return h
+	return maxAbs / minAbs
 }

@@ -44,7 +44,7 @@ func (a *Agent) NewEvaluator() *Evaluator {
 	return &Evaluator{
 		cfg:    a.cfg,
 		model:  a.theta1,
-		kernel: newQKernel(a.cfg, a.dims.In, a.dims.Out),
+		kernel: newQKernel(a.cfg),
 	}
 }
 

@@ -73,7 +73,7 @@ func TestEvaluatorMatchesAgent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if wantQ, _ := a.maxQ(a.theta1, state); bestQ != wantQ {
+				if wantQ, _ := a.maxQ(a.dp.Values(state, false)); bestQ != wantQ {
 					t.Fatalf("Best Q = %v, agent max = %v", bestQ, wantQ)
 				}
 				if qs[best] != bestQ {

@@ -34,15 +34,16 @@ type qKernel struct {
 	q []float64
 }
 
-// newQKernel sizes a kernel for networks built from cfg with input size
-// in and output size out. Scratch is O(Ñ + actions), allocated here once.
-func newQKernel(cfg Config, in, out int) qKernel {
+// newQKernel sizes a kernel for networks built from cfg. Scratch is
+// O(Ñ + actions), allocated here once.
+func newQKernel(cfg Config) qKernel {
+	d := cfg.dims()
 	return qKernel{
 		obsSize:  cfg.ObservationSize,
 		oneHot:   cfg.OneHotActions,
 		standard: cfg.StandardOutputModel,
-		inSize:   in,
-		outSize:  out,
+		inSize:   d.In,
+		outSize:  d.Out,
 		pre:      make([]float64, cfg.Hidden),
 		q:        make([]float64, cfg.ActionCount),
 	}

@@ -23,8 +23,6 @@ import (
 	"time"
 
 	"oselmrl/internal/activation"
-	"oselmrl/internal/elm"
-	"oselmrl/internal/mat"
 	"oselmrl/internal/obs"
 	"oselmrl/internal/oselm"
 	"oselmrl/internal/replay"
@@ -192,20 +190,41 @@ func (c *Config) validate() error {
 	if c.ExploreDecay <= 0 || c.ExploreDecay > 1 {
 		return fmt.Errorf("qnet: ExploreDecay must be in (0, 1]: %g", c.ExploreDecay)
 	}
+	if c.StandardOutputModel && c.OneHotActions {
+		return fmt.Errorf("qnet: StandardOutputModel and OneHotActions are mutually exclusive")
+	}
 	if c.Activation.F == nil {
 		c.Activation = activation.ReLU
 	}
 	return nil
 }
 
-// Agent is an ELM or OS-ELM Q-Network agent implementing Algorithm 1.
+// dims returns the network dimensions the config implies: input [state,
+// action] and one output under the simplified output model, [state,
+// onehot(action)] with OneHotActions, or the state alone and one output
+// per action with StandardOutputModel.
+func (c Config) dims() timing.OSELMDims {
+	d := timing.OSELMDims{In: c.ObservationSize + 1, Hidden: c.Hidden, Out: 1}
+	switch {
+	case c.StandardOutputModel:
+		d.In, d.Out = c.ObservationSize, c.ActionCount
+	case c.OneHotActions:
+		d.In = c.ObservationSize + c.ActionCount
+	}
+	return d
+}
+
+// Agent is an ELM or OS-ELM Q-Network agent: Algorithm 1's control loop
+// over a Datapath. New runs it on the float64 datapath; internal/fpga
+// runs the same loop on the fixed-point core.
 type Agent struct {
 	cfg Config
 	rng *rng.RNG
+	dp  Datapath
 
-	// theta1 and theta2 are Qθ1 and the fixed target Qθ2.
-	theta1 *oselm.Model
-	theta2 *oselm.Model
+	// floatNet is the float datapath's state when the agent runs on one
+	// (New), nil otherwise; the float-only accessors read its models.
+	*floatNet
 
 	buffer      *replay.InitStore
 	globalStep  int
@@ -218,49 +237,41 @@ type Agent struct {
 	batchTrained bool
 	dims         timing.OSELMDims
 	counters     *timing.Counters
-
-	// kernel evaluates every Q value, scratch holds the network input
-	// [state..., action] and targetRow the target of a sequential update,
-	// so a step allocates nothing.
-	kernel    qKernel
-	scratch   []float64
-	targetRow []float64
+	// targets holds the init_train targets of one drained buffer.
+	targets []float64
 
 	// obs receives structured events and metrics; nil (the default)
 	// disables observability at the cost of one nil check per guard.
 	obs *obs.Emitter
 }
 
-// New builds an agent from cfg.
+// New builds an agent from cfg on the float64 datapath.
 func New(cfg Config) (*Agent, error) {
+	return NewWith(cfg, func(cfg Config) (Datapath, error) { return NewFloat(cfg), nil })
+}
+
+// NewWith validates cfg, applying its defaults, and builds an agent that
+// runs Algorithm 1 on the datapath build returns for the validated
+// config.
+func NewWith(cfg Config, build func(Config) (Datapath, error)) (*Agent, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	inputSize := cfg.ObservationSize + 1
-	outputSize := 1
-	switch {
-	case cfg.StandardOutputModel:
-		if cfg.OneHotActions {
-			return nil, fmt.Errorf("qnet: StandardOutputModel and OneHotActions are mutually exclusive")
-		}
-		inputSize = cfg.ObservationSize
-		outputSize = cfg.ActionCount
-	case cfg.OneHotActions:
-		inputSize = cfg.ObservationSize + cfg.ActionCount
+	dp, err := build(cfg)
+	if err != nil {
+		return nil, err
 	}
 	a := &Agent{
 		cfg:      cfg,
 		rng:      rng.New(cfg.Seed),
+		dp:       dp,
 		buffer:   replay.NewInitStore(cfg.Hidden),
 		counters: timing.NewCounters(),
-		dims: timing.OSELMDims{
-			In:     inputSize,
-			Hidden: cfg.Hidden,
-			Out:    outputSize,
-		},
-		kernel:    newQKernel(cfg, inputSize, outputSize),
-		scratch:   make([]float64, inputSize),
-		targetRow: make([]float64, outputSize),
+		dims:     cfg.dims(),
+		targets:  make([]float64, cfg.Hidden),
+	}
+	if f, ok := dp.(*Float); ok {
+		a.floatNet = f.floatNet
 	}
 	a.initModels()
 	return a, nil
@@ -276,18 +287,7 @@ func MustNew(cfg Config) *Agent {
 }
 
 func (a *Agent) initModels() {
-	opts := elm.Options{
-		InitLow:                a.cfg.InitLow,
-		InitHigh:               a.cfg.InitHigh,
-		SpectralNormalizeAlpha: a.cfg.Variant.SpectralNormalize(),
-	}
-	delta := 0.0
-	if a.cfg.Variant.UsesL2() {
-		delta = a.cfg.Delta
-	}
-	base := elm.NewModel(a.dims.In, a.cfg.Hidden, a.dims.Out, a.cfg.Activation, a.rng, opts)
-	a.theta1 = oselm.New(base, delta)
-	a.theta2 = a.theta1.Clone() // Algorithm 1 line 4: θ2 ← θ1
+	a.dp.Reset(a.rng)
 	a.buffer.Clear()
 	a.globalStep = 0
 	a.exploreProb = 1 - a.cfg.Epsilon1
@@ -309,40 +309,15 @@ func (a *Agent) SetObserver(e *obs.Emitter) { a.obs = e }
 
 // Trained reports whether initial training has completed (OS-ELM) or the
 // first batch training has run (ELM).
-func (a *Agent) Trained() bool { return a.theta1.Initialized() || a.batchTrained }
+func (a *Agent) Trained() bool { return a.dp.Initialized() || a.batchTrained }
 
-// encode writes the simplified-output-model input into dst: [state...,
-// action] with the action as a scalar by default (the paper's input size
-// for CartPole is 5 = 4 states + 1 action), or [state..., onehot(action)]
-// when OneHotActions is set.
-func (a *Agent) encode(dst, state []float64, action int) []float64 {
-	copy(dst, state)
-	if !a.cfg.OneHotActions {
-		dst[len(state)] = float64(action)
-		return dst
-	}
-	for i := 0; i < a.cfg.ActionCount; i++ {
-		v := 0.0
-		if i == action {
-			v = 1
-		}
-		dst[len(state)+i] = v
-	}
-	return dst
-}
-
-// qValue evaluates Q(s, a) on the given model.
-func (a *Agent) qValue(m *oselm.Model, state []float64, action int) float64 {
-	return a.kernel.values(m.Model, state)[action]
-}
-
-// maxQ returns max over actions of Q(s, ·) on model m, and the argmax with
-// uniform random tie-breaking (before training all Q values are 0, so
+// maxQ returns the largest of the Q values qs and its action, breaking
+// ties uniformly at random (before training all Q values are 0, so
 // deterministic argmax would freeze on action 0).
-func (a *Agent) maxQ(m *oselm.Model, state []float64) (best float64, argmax int) {
+func (a *Agent) maxQ(qs []float64) (best float64, argmax int) {
 	best = math.Inf(-1)
 	ties := 0
-	for act, q := range a.kernel.values(m.Model, state) {
+	for act, q := range qs {
 		switch {
 		case q > best:
 			best, argmax, ties = q, act, 1
@@ -362,18 +337,10 @@ func (a *Agent) maxQ(m *oselm.Model, state []float64) (best float64, argmax int)
 // predictions all count as predict_init — matching the paper's ELM bars
 // (init_train + predict_init dominant).
 func (a *Agent) predictPhase() timing.Phase {
-	if a.theta1.Initialized() {
+	if a.dp.Initialized() {
 		return timing.PhasePredictSeq
 	}
 	return timing.PhasePredictInit
-}
-
-// modelSeconds converts one phase invocation's work into modelled device
-// seconds on the software stack this agent represents (§4.3: PyTorch on
-// the Cortex-A9) — the modelled counterpart the span tracer records next
-// to measured wall time.
-func modelSeconds(p timing.Phase, work float64) float64 {
-	return timing.CortexA9PyTorch.Seconds(p, 1, work)
 }
 
 // SelectAction implements Algorithm 1 lines 10-13: greedy with probability
@@ -382,13 +349,11 @@ func (a *Agent) SelectAction(state []float64) int {
 	if a.rng.Float64() >= a.exploreProb {
 		phase := a.predictPhase()
 		sp := a.obs.StartSpan(string(phase))
-		_, act := a.maxQ(a.theta1, state)
-		// One framework call: a NumPy/PyTorch implementation stacks the
-		// action candidates into a single batched forward pass.
-		work := float64(a.cfg.ActionCount) * a.dims.PredictFlops()
-		a.counters.Add(phase, work)
+		mark := a.dp.Mark()
+		_, act := a.maxQ(a.dp.Values(state, false))
+		model := a.dp.Charge(a.counters, phase, float64(a.cfg.ActionCount)*a.dims.PredictFlops(), mark)
 		if sp.Active() {
-			sp.EndModelled(modelSeconds(phase, work))
+			sp.EndModelled(model)
 		}
 		return act
 	}
@@ -397,7 +362,7 @@ func (a *Agent) SelectAction(state []float64) int {
 
 // GreedyAction returns argmax_a Q(s,a) without exploration (evaluation).
 func (a *Agent) GreedyAction(state []float64) int {
-	_, act := a.maxQ(a.theta1, state)
+	_, act := a.maxQ(a.dp.Values(state, false))
 	return act
 }
 
@@ -408,10 +373,10 @@ func (a *Agent) target(t replay.Transition) float64 {
 	if !t.Done {
 		if a.cfg.DoubleQ {
 			// Double Q: θ1 selects, θ2 evaluates.
-			_, act := a.maxQ(a.theta1, t.NextState)
-			next = a.qValue(a.theta2, t.NextState, act)
+			_, act := a.maxQ(a.dp.Values(t.NextState, false))
+			next = a.dp.Values(t.NextState, true)[act]
 		} else {
-			next, _ = a.maxQ(a.theta2, t.NextState)
+			next, _ = a.maxQ(a.dp.Values(t.NextState, true))
 		}
 	}
 	y := t.Reward + a.cfg.Gamma*boolTo01(!t.Done)*next
@@ -448,17 +413,9 @@ func boolTo01(b bool) float64 {
 // the appropriate update.
 func (a *Agent) Observe(t replay.Transition) error {
 	a.globalStep++
-	if !a.theta1.Initialized() {
-		a.bufferAdd(t)
-		// Line 16-19: once D holds Ñ transitions, run the initial (ELM:
-		// batch) training.
-		if a.buffer.Full() {
-			return a.trainFromBuffer()
-		}
-		return nil
-	}
-	if !a.cfg.Variant.Sequential() {
-		// Batch ELM keeps refilling D and retraining when it is full.
+	// Lines 16-19: until θ1's initial training, D collects Ñ transitions
+	// and then trains; batch ELM keeps refilling D and retraining.
+	if !a.dp.Initialized() || !a.cfg.Variant.Sequential() {
 		a.bufferAdd(t)
 		if a.buffer.Full() {
 			return a.trainFromBuffer()
@@ -489,56 +446,38 @@ func (a *Agent) bufferAdd(t replay.Transition) {
 func (a *Agent) trainFromBuffer() error {
 	sp := a.obs.StartSpan(string(timing.PhaseInitTrain))
 	t0 := a.obs.Now()
+	mark := a.dp.Mark()
 	retrain := a.Trained() // refilled-buffer retrain vs first initial training
 	trans := a.buffer.Drain()
 	k := len(trans)
-	x := mat.Zeros(k, a.dims.In)
-	y := mat.Zeros(k, a.dims.Out)
+	y := a.targets[:k]
 	for i, tr := range trans {
-		if a.cfg.StandardOutputModel {
-			x.SetRow(i, tr.State)
-			// The taken action trains toward the Bellman target; untaken
-			// actions toward their current predictions (no-op targets).
-			y.SetRow(i, a.kernel.values(a.theta1.Model, tr.State))
-			y.Set(i, tr.Action, a.target(tr))
-			continue
-		}
-		x.SetRow(i, a.encode(a.scratch, tr.State, tr.Action))
-		y.Set(i, 0, a.target(tr))
+		y[i] = a.target(tr)
 	}
-	// Target evaluations on θ2: k×ActionCount predictions.
-	nEvals := int64(k * a.cfg.ActionCount)
-	work := float64(nEvals)*a.dims.PredictFlops() + a.dims.InitTrainFlops(k)
-
-	var err error
-	if a.cfg.Variant.Sequential() {
-		err = a.theta1.InitTrain(x, y)
-	} else {
-		// Batch ELM: with L2 off this is the pseudo-inverse solve of Eq. 3.
-		// A tiny ridge keeps the Gram matrix invertible when D contains
-		// duplicate states, matching the pseudo-inverse's truncation.
-		err = a.theta1.Model.TrainBatch(x, y, 1e-8)
-		// ELM has no separate sequential phase; keep θ2 in sync with the
-		// freshly trained θ1 so targets are not computed from the initial
-		// random network forever (see DESIGN.md interpretation note).
-		a.theta2.CopyStateFrom(a.theta1)
+	var event map[string]float64
+	if a.obs != nil {
+		event = map[string]float64{
+			"size":    float64(k),
+			"step":    float64(a.globalStep),
+			"retrain": boolTo01(retrain),
+		}
+	}
+	err := a.dp.InitTrain(trans, y, event)
+	if !a.cfg.Variant.Sequential() {
 		a.batchTrained = true
 	}
-	a.counters.Add(timing.PhaseInitTrain, work)
+	// Target evaluations on θ2 (k×ActionCount predictions) plus the solve.
+	work := float64(k*a.cfg.ActionCount)*a.dims.PredictFlops() + a.dims.InitTrainFlops(k)
+	model := a.dp.Charge(a.counters, timing.PhaseInitTrain, work, mark)
 	if a.obs != nil {
-		model := modelSeconds(timing.PhaseInitTrain, work)
 		sp.EndModelled(model)
 		d := time.Since(t0)
 		a.obs.AddWall(string(timing.PhaseInitTrain), d)
 		a.obs.Inc(obs.MetricInitTrains, 1)
 		a.obs.SetGauge(obs.GaugeBufferOccupancy, 0)
-		a.obs.Emit(obs.EventInitTrain, 0, map[string]float64{
-			"size":     float64(k),
-			"step":     float64(a.globalStep),
-			"retrain":  boolTo01(retrain),
-			"dur_ms":   float64(d) / float64(time.Millisecond),
-			"model_ms": model * 1e3,
-		})
+		event["dur_ms"] = float64(d) / float64(time.Millisecond)
+		event["model_ms"] = model * 1e3
+		a.obs.Emit(obs.EventInitTrain, 0, event)
 	}
 	return err
 }
@@ -548,31 +487,21 @@ func (a *Agent) trainFromBuffer() error {
 func (a *Agent) sequentialUpdate(t replay.Transition) error {
 	sp := a.obs.StartSpan(string(timing.PhaseSeqTrain))
 	t0 := a.obs.Now()
+	mark := a.dp.Mark()
 	y := a.target(t)
-	var err error
 	// pred is Qθ1(s, a) before the update; y − pred is the TD error the
-	// update corrects. The extra prediction is an observability probe, run
-	// only when an emitter is attached, and excluded from the work counters
-	// (the real device would not execute it).
+	// update corrects. The probe runs only when an emitter is attached and
+	// is invisible to the cost model (the real device would not execute
+	// it).
 	pred := math.NaN()
-	if a.cfg.StandardOutputModel {
-		cur := a.targetRow
-		copy(cur, a.kernel.values(a.theta1.Model, t.State))
-		pred = cur[t.Action]
-		cur[t.Action] = y
-		err = a.theta1.SeqTrainOne(t.State, cur)
-	} else {
-		if a.obs != nil {
-			pred = a.qValue(a.theta1, t.State, t.Action)
-		}
-		a.targetRow[0] = y
-		err = a.theta1.SeqTrainOne(a.encode(a.scratch, t.State, t.Action), a.targetRow)
+	if a.obs != nil {
+		pred = a.dp.Probe(t.State, t.Action)
 	}
+	err := a.dp.SeqTrain(t.State, t.Action, y)
 	// Work: the target's θ2 evaluations plus the rank-1 update itself.
 	work := float64(a.cfg.ActionCount)*a.dims.PredictFlops() + a.dims.SeqTrainFlops()
-	a.counters.Add(timing.PhaseSeqTrain, work)
+	model := a.dp.Charge(a.counters, timing.PhaseSeqTrain, work, mark)
 	if a.obs != nil {
-		model := modelSeconds(timing.PhaseSeqTrain, work)
 		sp.EndModelled(model)
 		d := time.Since(t0)
 		tdErr := y - pred
@@ -598,31 +527,29 @@ func (a *Agent) EndEpisode(episode int) {
 	if !a.cfg.Variant.Sequential() {
 		return // θ2 sync is OS-ELM-specific (paper §3.1)
 	}
-	if episode%a.cfg.UpdateEvery == 0 {
-		a.theta2.CopyStateFrom(a.theta1)
-		if a.obs != nil {
-			// σmax(β) is the Lipschitz bound the §3.3 regularization caps;
-			// tracked at sync points so its drift over a run is inspectable,
-			// together with the learn_* numeric-health gauges.
-			h := a.theta1.Health()
-			a.obs.Inc(obs.MetricTheta2Syncs, 1)
-			a.obs.SetGauge(obs.GaugeBetaSigmaMax, h.BetaSigmaMax)
-			a.obs.Observe(obs.GaugeBetaSigmaMax, h.BetaSigmaMax)
-			a.obs.SetGauge(obs.GaugeLearnBetaNorm, h.BetaNorm)
-			if a.theta1.Initialized() {
-				a.obs.SetGauge(obs.GaugeLearnPTrace, h.PTrace)
-				a.obs.SetGauge(obs.GaugeLearnPCond, h.PCondProxy)
-			}
-			if a.targetsN > 0 {
-				a.obs.SetGauge(obs.GaugeLearnClipRate,
-					float64(a.targetsClipped)/float64(a.targetsN))
-			}
-			a.obs.Emit(obs.EventTheta2Sync, episode, map[string]float64{
-				"beta_sigma_max": h.BetaSigmaMax,
-				"beta_norm":      h.BetaNorm,
-			})
-		}
+	if episode%a.cfg.UpdateEvery != 0 || !a.dp.Sync() || a.obs == nil {
+		return
 	}
+	// σmax(β) is the Lipschitz bound the §3.3 regularization caps; tracked
+	// at sync points so its drift over a run is inspectable, together with
+	// the learn_* numeric-health gauges.
+	h := a.dp.Health()
+	a.obs.Inc(obs.MetricTheta2Syncs, 1)
+	a.obs.SetGauge(obs.GaugeBetaSigmaMax, h.BetaSigmaMax)
+	a.obs.Observe(obs.GaugeBetaSigmaMax, h.BetaSigmaMax)
+	a.obs.SetGauge(obs.GaugeLearnBetaNorm, h.BetaNorm)
+	if a.dp.Initialized() {
+		a.obs.SetGauge(obs.GaugeLearnPTrace, h.PTrace)
+		a.obs.SetGauge(obs.GaugeLearnPCond, h.PCondProxy)
+	}
+	if a.targetsN > 0 {
+		a.obs.SetGauge(obs.GaugeLearnClipRate,
+			float64(a.targetsClipped)/float64(a.targetsN))
+	}
+	a.obs.Emit(obs.EventTheta2Sync, episode, map[string]float64{
+		"beta_sigma_max": h.BetaSigmaMax,
+		"beta_norm":      h.BetaNorm,
+	})
 }
 
 // Reinitialize draws fresh random weights — the §4.3 reset rule for
@@ -630,6 +557,15 @@ func (a *Agent) EndEpisode(episode int) {
 // after 300 episodes"). Timing counters are preserved: the paper's
 // time-to-complete includes failed attempts.
 func (a *Agent) Reinitialize() { a.initModels() }
+
+// GlobalStep returns the number of Observe calls since (re)initialization.
+func (a *Agent) GlobalStep() int { return a.globalStep }
+
+// ExploreProb returns the current per-step random-action probability.
+func (a *Agent) ExploreProb() float64 { return a.exploreProb }
+
+// The accessors below read the float datapath's models; they are for
+// agents built by New.
 
 // BetaSigmaMax exposes σmax(β), the agent's Lipschitz bound after spectral
 // normalization (§3.3), for the stability diagnostics.
@@ -643,9 +579,6 @@ func (a *Agent) Theta1() *oselm.Model { return a.theta1 }
 
 // Theta2 exposes the target model for white-box tests.
 func (a *Agent) Theta2() *oselm.Model { return a.theta2 }
-
-// GlobalStep returns the number of Observe calls since (re)initialization.
-func (a *Agent) GlobalStep() int { return a.globalStep }
 
 // RestoreModels installs persisted θ1/θ2 models (internal/persist). The
 // models must match the agent's input/hidden/output dimensions, which
@@ -661,6 +594,3 @@ func (a *Agent) RestoreModels(theta1, theta2 *oselm.Model) error {
 	a.theta2 = theta2
 	return nil
 }
-
-// ExploreProb returns the current per-step random-action probability.
-func (a *Agent) ExploreProb() float64 { return a.exploreProb }
