@@ -9,6 +9,7 @@ package oselmrl_test
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"oselmrl/internal/fpga"
 	"oselmrl/internal/harness"
 	"oselmrl/internal/mat"
+	"oselmrl/internal/obs"
 	"oselmrl/internal/oselm"
 	"oselmrl/internal/qnet"
 	"oselmrl/internal/replay"
@@ -542,8 +544,9 @@ func TestMicroRungAllocCeilings(t *testing.T) {
 				i++
 			}
 		}},
-		rung{"FacadeAgentStep", 1.23, facadeStep(t, oselmrl.DesignOSELML2Lipschitz)},
-		rung{"FPGAFacadeAgentStep", 1.225, facadeStep(t, oselmrl.DesignFPGA)},
+		rung{"FacadeAgentStep", 1.23, facadeStep(t, oselmrl.DesignOSELML2Lipschitz, false)},
+		rung{"FPGAFacadeAgentStep", 1.225, facadeStep(t, oselmrl.DesignFPGA, false)},
+		rung{"TelemetryAgentStep", 1.855, facadeStep(t, oselmrl.DesignOSELML2Lipschitz, true)},
 	)
 	for _, r := range rungs {
 		got := meanAllocs(200, r.op())
@@ -556,14 +559,23 @@ func TestMicroRungAllocCeilings(t *testing.T) {
 
 // facadeStep returns a rung op that runs one CartPole training step of a
 // 32-unit agent of design d through the public facade, ending and
-// resetting episodes as they finish.
-func facadeStep(t *testing.T, d oselmrl.Design) func() func() {
+// resetting episodes as they finish. With telemetry the agent gets what
+// `cmd/train -events -trace -watchdog` attaches: an emitter carrying the
+// run's labels over a JSONL sink (here to io.Discard), a span tracer and
+// a divergence watchdog.
+func facadeStep(t *testing.T, d oselmrl.Design, telemetry bool) func() func() {
 	return func() func() {
 		agent, err := oselmrl.NewAgent(d, 4, 2, 32, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		task := oselmrl.NewCartPole(101)
+		if telemetry {
+			e := obs.NewEmitter(obs.NewJSONLSink(io.Discard))
+			e.SetTracer(obs.NewTracer())
+			e.SetWatchdog(obs.NewWatchdog(obs.DefaultWatchdogConfig()))
+			agent.(harness.Observable).SetObserver(e.With(map[string]string{"design": agent.Name(), "env": task.Name()}))
+		}
 		state := task.Reset()
 		ep := 1
 		return func() {

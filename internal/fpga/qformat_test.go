@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"maps"
 	"testing"
 
 	"oselmrl/internal/fixed"
@@ -174,11 +175,17 @@ func TestDenomGuardRejectsCorruptP(t *testing.T) {
 	}
 }
 
-// recordSink captures emitted events for assertions.
+// recordSink captures emitted events for assertions. An event's data is
+// only valid during Write, so it keeps a copy.
 type recordSink struct{ events []obs.Event }
 
-func (s *recordSink) Write(ev *obs.Event) error { s.events = append(s.events, *ev); return nil }
-func (s *recordSink) Close() error              { return nil }
+func (s *recordSink) Write(ev *obs.Event) error {
+	kept := *ev
+	kept.Data = maps.Clone(ev.Data)
+	s.events = append(s.events, kept)
+	return nil
+}
+func (s *recordSink) Close() error { return nil }
 
 // TestAgentDenomGuardAlert drives the guard through the agent: a poisoned
 // P during online updates must surface as a fixed_denom_guard_trips

@@ -6,11 +6,18 @@
 // observability is off.
 //
 // Events are JSON Lines: one JSON object per line, schema documented on
-// Event (and in README.md §Observability). Manifests are single JSON
-// documents tying a results file to the exact configuration that produced
-// it (manifest.go). Metrics are in-process counters/gauges/histograms
-// snapshotted into the run_end event and available programmatically
-// (metrics.go).
+// Event (and in README.md §Observability). The JSONL sink writes the
+// bytes encoding/json would write for an Event (fields in struct order,
+// sorted map keys, floats in ES6 form), through an append encoder that
+// reuses one buffer (encode.go). JSON has no NaN or ±Inf, so a
+// non-finite value is left out of its event and counted in
+// data.nonfinite; the event and every later one are still written. A
+// sink reads an event only during Write and keeps none of it: a Sink
+// that retains events copies what it keeps, so emitters may reuse their
+// data maps. Manifests are single JSON documents tying a results file to
+// the exact configuration that produced it (manifest.go). Metrics are
+// in-process counters/gauges/histograms snapshotted into the run_end
+// event and available programmatically (metrics.go).
 package obs
 
 import (
@@ -80,35 +87,46 @@ type Event struct {
 	WallMS float64 `json:"wall_ms"`
 	// Episode is the 1-based episode number, when meaningful.
 	Episode int `json:"episode,omitempty"`
-	// Data holds the event's numeric payload.
+	// Data holds the event's numeric payload. JSON has no NaN or ±Inf:
+	// the JSONL sink leaves a non-finite value out and sets "nonfinite" to
+	// the number left out.
 	Data map[string]float64 `json:"data,omitempty"`
 	// Labels holds string context (design, env, trial, ...), set once per
 	// emitter via With and attached to every event it emits.
 	Labels map[string]string `json:"labels,omitempty"`
+	// labelsJSON is Labels as the JSON object the JSONL sink writes,
+	// encoded once per emitter; nil means encode Labels per event.
+	labelsJSON []byte `json:"-"`
 }
 
 // Sink consumes events. Implementations must be safe for concurrent use;
-// the harness's parallel trial runner writes one merged stream.
+// the harness's parallel trial runner writes one merged stream. The event
+// and its Data and Labels maps are valid only during Write: the caller
+// may reuse them afterwards, so a sink that keeps an event copies what it
+// keeps. Write may set ev.Seq.
 type Sink interface {
 	Write(ev *Event) error
 	Close() error
 }
 
 // jsonlSink writes one JSON document per line through a buffered writer.
+// line is the encoder's output buffer, reused across events. err is the
+// first write error; it stops the sink.
 type jsonlSink struct {
-	mu  sync.Mutex
-	buf *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
-	seq int64
-	err error
+	mu   sync.Mutex
+	buf  *bufio.Writer
+	enc  eventEncoder
+	line []byte
+	c    io.Closer
+	seq  int64
+	err  error
 }
 
 // NewJSONLSink wraps w in a buffered JSONL sink. If w is an io.Closer,
 // Close closes it after flushing.
 func NewJSONLSink(w io.Writer) Sink {
 	buf := bufio.NewWriter(w)
-	s := &jsonlSink{buf: buf, enc: json.NewEncoder(buf)}
+	s := &jsonlSink{buf: buf}
 	if c, ok := w.(io.Closer); ok {
 		s.c = c
 	}
@@ -123,7 +141,12 @@ func (s *jsonlSink) Write(ev *Event) error {
 	}
 	s.seq++
 	ev.Seq = s.seq
-	if err := s.enc.Encode(ev); err != nil {
+	line, err := s.enc.appendEvent(s.line[:0], ev)
+	if err != nil {
+		line, _ = s.enc.appendEvent(line[:0], finiteCopy(ev))
+	}
+	s.line = line
+	if _, err := s.buf.Write(line); err != nil {
 		s.err = err
 		return err
 	}
@@ -153,7 +176,13 @@ type Emitter struct {
 	tracer   *Tracer
 	watchdog *Watchdog
 	labels   map[string]string
-	start    time.Time
+	// labelsJSON is labels encoded once, for the JSONL sink.
+	labelsJSON []byte
+	start      time.Time
+	// ev is the Event every Emit and EmitLabeled hands to the sink; evMu
+	// serializes its use across goroutines.
+	evMu sync.Mutex
+	ev   Event
 }
 
 // NewEmitter builds an emitter over sink with a fresh metrics registry.
@@ -176,7 +205,8 @@ func (e *Emitter) With(labels map[string]string) *Emitter {
 	for k, v := range labels {
 		merged[k] = v
 	}
-	return &Emitter{sink: e.sink, reg: e.reg, tracer: e.tracer, watchdog: e.watchdog, labels: merged, start: e.start}
+	return &Emitter{sink: e.sink, reg: e.reg, tracer: e.tracer, watchdog: e.watchdog,
+		labels: merged, labelsJSON: encodeLabels(merged), start: e.start}
 }
 
 // SetWatchdog attaches a divergence watchdog: every Inc/SetGauge/Observe
@@ -260,26 +290,39 @@ func (e *Emitter) Metrics() *Registry {
 	return e.reg
 }
 
-// Emit writes one event. data is owned by the emitter after the call.
+// Emit writes one event. The sink reads data during the call and keeps
+// none of it, so the caller may reuse the map for its next event.
 func (e *Emitter) Emit(typ string, episode int, data map[string]float64) {
 	if e == nil || e.sink == nil {
 		return
 	}
-	e.sink.Write(&Event{
-		Type:    typ,
-		WallMS:  float64(time.Since(e.start)) / float64(time.Millisecond),
-		Episode: episode,
-		Data:    data,
-		Labels:  e.labels,
+	e.write(Event{
+		Type:       typ,
+		WallMS:     float64(time.Since(e.start)) / float64(time.Millisecond),
+		Episode:    episode,
+		Data:       data,
+		Labels:     e.labels,
+		labelsJSON: e.labelsJSON,
 	})
+}
+
+// write hands ev to the sink in the emitter's own Event, which sinks keep
+// no part of past Write.
+func (e *Emitter) write(ev Event) {
+	e.evMu.Lock()
+	e.ev = ev
+	e.sink.Write(&e.ev)
+	e.ev = Event{}
+	e.evMu.Unlock()
 }
 
 // EmitLabeled writes one event carrying extra per-event labels on top of
 // the emitter's own label set — the per-request path behind serve_access
 // events, where the trace ID and route differ on every line and deriving
-// a whole emitter via With would be wasteful. data and labels are owned
-// by the emitter after the call. Like Emit, a nil emitter or sink-less
-// emitter returns immediately.
+// a whole emitter via With would be wasteful. As with Emit, the sink keeps
+// neither data nor labels after the call. The merged labels are encoded
+// per event. Like Emit, a nil emitter or sink-less emitter returns
+// immediately.
 func (e *Emitter) EmitLabeled(typ string, labels map[string]string, data map[string]float64) {
 	if e == nil || e.sink == nil {
 		return
@@ -294,7 +337,7 @@ func (e *Emitter) EmitLabeled(typ string, labels map[string]string, data map[str
 		}
 		labels = merged
 	}
-	e.sink.Write(&Event{
+	e.write(Event{
 		Type:   typ,
 		WallMS: float64(time.Since(e.start)) / float64(time.Millisecond),
 		Data:   data,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +71,37 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if ev.WallMS < 0 {
 			t.Fatalf("negative wall_ms: %+v", ev)
 		}
+	}
+}
+
+// A non-finite value must not end the event log: its event is written
+// with the offending fields omitted and counted in data.nonfinite, and
+// every later event is still written.
+func TestNonFiniteValueKeepsLogging(t *testing.T) {
+	var buf bytes.Buffer
+	e := NewEmitter(NewJSONLSink(&buf))
+	e.Emit(EventSeqUpdate, 0, map[string]float64{"step": 3, "td_error": math.NaN(), "target": math.Inf(-1)})
+	e.Emit(EventEpisodeEnd, 1, map[string]float64{"steps": 17})
+	e.Emit(EventRunEnd, 1, map[string]float64{"solved": 0})
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, ev := range events {
+		types = append(types, ev.Type)
+	}
+	if want := []string{EventSeqUpdate, EventEpisodeEnd, EventRunEnd}; !reflect.DeepEqual(types, want) {
+		t.Fatalf("events %v, want %v", types, want)
+	}
+	if want := map[string]float64{"step": 3, "nonfinite": 2}; !reflect.DeepEqual(events[0].Data, want) {
+		t.Errorf("non-finite event data %v, want %v", events[0].Data, want)
+	}
+	if events[1].Data["steps"] != 17 || events[1].Data["nonfinite"] != 0 {
+		t.Errorf("finite event data %v", events[1].Data)
 	}
 }
 

@@ -2,6 +2,7 @@ package oselm
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -459,16 +460,19 @@ func TestPropertyBatchEqualsRank1Stream(t *testing.T) {
 	}
 }
 
-// guardSink captures emitted events for the guard regression test.
+// guardSink captures emitted events for the guard regression test. An
+// event's data is only valid during Write, so it keeps a copy.
 type guardSink struct {
 	mu     sync.Mutex
 	events []obs.Event
 }
 
 func (s *guardSink) Write(ev *obs.Event) error {
+	kept := *ev
+	kept.Data = maps.Clone(ev.Data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.events = append(s.events, *ev)
+	s.events = append(s.events, kept)
 	return nil
 }
 func (s *guardSink) Close() error { return nil }

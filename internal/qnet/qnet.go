@@ -243,6 +243,9 @@ type Agent struct {
 	// obs receives structured events and metrics; nil (the default)
 	// disables observability at the cost of one nil check per guard.
 	obs *obs.Emitter
+	// seqEvent is the seq_update event's data, rewritten on every update;
+	// sinks keep no event data past Write, so one map serves them all.
+	seqEvent map[string]float64
 }
 
 // New builds an agent from cfg on the float64 datapath.
@@ -509,13 +512,16 @@ func (a *Agent) sequentialUpdate(t replay.Transition) error {
 		a.obs.Inc(obs.MetricSeqUpdates, 1)
 		a.obs.Observe(obs.HistLearnTDErrorAbs, math.Abs(tdErr))
 		a.obs.Observe(obs.HistLearnQValue, pred)
-		a.obs.Emit(obs.EventSeqUpdate, 0, map[string]float64{
-			"step":     float64(a.globalStep),
-			"target":   y,
-			"td_error": tdErr,
-			"dur_ms":   float64(d) / float64(time.Millisecond),
-			"model_ms": model * 1e3,
-		})
+		if a.seqEvent == nil {
+			a.seqEvent = make(map[string]float64, 5)
+		}
+		ev := a.seqEvent
+		ev["step"] = float64(a.globalStep)
+		ev["target"] = y
+		ev["td_error"] = tdErr
+		ev["dur_ms"] = float64(d) / float64(time.Millisecond)
+		ev["model_ms"] = model * 1e3
+		a.obs.Emit(obs.EventSeqUpdate, 0, ev)
 	}
 	return err
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,15 +18,18 @@ import (
 	"oselmrl/internal/obs/slo"
 )
 
-// memSink captures emitted events for assertions.
+// memSink captures emitted events for assertions. An event's data is
+// only valid during Write, so it keeps a copy.
 type memSink struct {
 	mu     sync.Mutex
 	events []obs.Event
 }
 
 func (m *memSink) Write(ev *obs.Event) error {
+	kept := *ev
+	kept.Data = maps.Clone(ev.Data)
 	m.mu.Lock()
-	m.events = append(m.events, *ev)
+	m.events = append(m.events, kept)
 	m.mu.Unlock()
 	return nil
 }
