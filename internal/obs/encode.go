@@ -39,11 +39,7 @@ func (enc *eventEncoder) appendEvent(b []byte, ev *Event) ([]byte, error) {
 	}
 	if len(ev.Data) > 0 {
 		b = append(b, `,"data":{`...)
-		enc.keys = enc.keys[:0]
-		for k := range ev.Data {
-			enc.keys = append(enc.keys, k)
-		}
-		slices.Sort(enc.keys)
+		enc.keys = sortedKeys(enc.keys, ev.Data)
 		for i, k := range enc.keys {
 			if i > 0 {
 				b = append(b, ',')
@@ -69,11 +65,7 @@ func (enc *eventEncoder) appendEvent(b []byte, ev *Event) ([]byte, error) {
 
 // appendLabels appends labels as a JSON object with sorted keys.
 func (enc *eventEncoder) appendLabels(b []byte, labels map[string]string) []byte {
-	enc.keys = enc.keys[:0]
-	for k := range labels {
-		enc.keys = append(enc.keys, k)
-	}
-	slices.Sort(enc.keys)
+	enc.keys = sortedKeys(enc.keys, labels)
 	b = append(b, '{')
 	for i, k := range enc.keys {
 		if i > 0 {
@@ -84,6 +76,16 @@ func (enc *eventEncoder) appendLabels(b []byte, labels map[string]string) []byte
 		b = appendString(b, labels[k])
 	}
 	return append(b, '}')
+}
+
+// sortedKeys returns m's keys in sorted order, reusing keys' storage.
+func sortedKeys[V any](keys []string, m map[string]V) []string {
+	keys = keys[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // encodeLabels is the labels object an emitter attaches to every event it

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -179,10 +180,10 @@ type Emitter struct {
 	// labelsJSON is labels encoded once, for the JSONL sink.
 	labelsJSON []byte
 	start      time.Time
-	// ev is the Event every Emit and EmitLabeled hands to the sink; evMu
-	// serializes its use across goroutines.
-	evMu sync.Mutex
-	ev   Event
+	// ev is the Event Emit and EmitLabeled hand to the sink; evBusy is
+	// set while a write uses it.
+	evBusy atomic.Bool
+	ev     Event
 }
 
 // NewEmitter builds an emitter over sink with a fresh metrics registry.
@@ -307,14 +308,24 @@ func (e *Emitter) Emit(typ string, episode int, data map[string]float64) {
 }
 
 // write hands ev to the sink in the emitter's own Event, which sinks keep
-// no part of past Write.
+// no part of past Write. While another write holds that Event, ev goes
+// out in a fresh one instead of waiting for it.
 func (e *Emitter) write(ev Event) {
-	e.evMu.Lock()
+	if !e.evBusy.CompareAndSwap(false, true) {
+		e.writeFresh(ev)
+		return
+	}
 	e.ev = ev
 	e.sink.Write(&e.ev)
 	e.ev = Event{}
-	e.evMu.Unlock()
+	e.evBusy.Store(false)
 }
+
+// writeFresh hands ev to the sink in its own heap Event. It is a separate
+// function so that only this path moves ev to the heap.
+//
+//go:noinline
+func (e *Emitter) writeFresh(ev Event) { e.sink.Write(&ev) }
 
 // EmitLabeled writes one event carrying extra per-event labels on top of
 // the emitter's own label set — the per-request path behind serve_access

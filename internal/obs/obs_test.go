@@ -212,12 +212,19 @@ func TestConcurrentEmission(t *testing.T) {
 	if len(events) != workers*each {
 		t.Fatalf("got %d events, want %d", len(events), workers*each)
 	}
+	// Every (worker, i) event arrives once with its own data: concurrent
+	// Emits on one emitter must not overwrite each other's event.
 	seen := make(map[int64]bool, len(events))
+	sent := make(map[[2]int]bool, len(events))
 	for _, ev := range events {
 		if seen[ev.Seq] {
 			t.Fatalf("duplicate seq %d", ev.Seq)
 		}
 		seen[ev.Seq] = true
+		sent[[2]int{int(ev.Data["w"]), ev.Episode}] = true
+	}
+	if len(sent) != workers*each {
+		t.Fatalf("got %d distinct (worker, i) events, want %d", len(sent), workers*each)
 	}
 	snap := e.Metrics().Snapshot()
 	if snap.Counter(MetricSeqUpdates) != workers*each {
