@@ -8,9 +8,13 @@
 package oselmrl_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -26,9 +30,11 @@ import (
 	"oselmrl/internal/mat"
 	"oselmrl/internal/obs"
 	"oselmrl/internal/oselm"
+	"oselmrl/internal/persist"
 	"oselmrl/internal/qnet"
 	"oselmrl/internal/replay"
 	"oselmrl/internal/rng"
+	"oselmrl/internal/serve"
 	"oselmrl/internal/timing"
 )
 
@@ -547,6 +553,8 @@ func TestMicroRungAllocCeilings(t *testing.T) {
 		rung{"FacadeAgentStep", 1.23, facadeStep(t, oselmrl.DesignOSELML2Lipschitz, false)},
 		rung{"FPGAFacadeAgentStep", 1.225, facadeStep(t, oselmrl.DesignFPGA, false)},
 		rung{"TelemetryAgentStep", 1.855, facadeStep(t, oselmrl.DesignOSELML2Lipschitz, true)},
+		rung{"ServeAct", 2, serveRequest(t, "/v1/act")},
+		rung{"ServePredict", 2, serveRequest(t, "/v1/predict")},
 	)
 	for _, r := range rungs {
 		got := meanAllocs(200, r.op())
@@ -593,6 +601,67 @@ func facadeStep(t *testing.T, d oselmrl.Design, telemetry bool) func() func() {
 		}
 	}
 }
+
+// serveRequest returns a rung op that answers one POST to route through
+// serve.Service's handler in process: the serving ladder's in-process
+// request rung. The policy is a 32-unit agent after 500 CartPole training
+// steps, served with the default, unbatched configuration. The request is
+// reused with its body reset, and the ResponseWriter keeps only the header
+// map, cleared between calls, and the status, so the count is the
+// service's own.
+func serveRequest(t *testing.T, route string) func() func() {
+	return func() func() {
+		agent, err := oselmrl.NewAgent(oselmrl.DesignOSELML2Lipschitz, 4, 2, 32, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := oselmrl.NewCartPole(101)
+		state := task.Reset()
+		for i := 0; i < 500; i++ {
+			act := agent.SelectAction(state)
+			next, r, done := task.Step(act)
+			if err := agent.Observe(replay.Transition{State: state, Action: act, Reward: r, NextState: next, Done: done}); err != nil {
+				t.Fatal(err)
+			}
+			if state = next; done {
+				state = task.Reset()
+			}
+		}
+		ckpt := filepath.Join(t.TempDir(), "policy.json")
+		if err := persist.SaveAgentFile(ckpt, agent.(*qnet.Agent)); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := serve.New(serve.Config{Checkpoint: ckpt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		h := svc.Handler()
+		payload := []byte(`{"state":[0.01,-0.02,0.03,0.04]}`)
+		body := bytes.NewReader(payload)
+		req := httptest.NewRequest(http.MethodPost, route, body)
+		w := &statusWriter{header: http.Header{}}
+		return func() {
+			body.Reset(payload)
+			clear(w.header)
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("%s answered %d", route, w.status)
+			}
+		}
+	}
+}
+
+// statusWriter is the least http.ResponseWriter: it keeps the header map
+// and the status and drops the body.
+type statusWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *statusWriter) Header() http.Header         { return w.header }
+func (w *statusWriter) WriteHeader(status int)      { w.status = status }
+func (w *statusWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // meanAllocs is testing.AllocsPerRun without its truncation: the mean
 // number of heap allocations per call of f over runs calls, after one

@@ -26,6 +26,7 @@ func TestReplaySLO(t *testing.T) {
 		log.WriteString(accessLine(1000+float64(i)*10, 429, 0.5, 0, 0.5, 1, 0))
 	}
 	log.WriteString(accessLine(1200, 400, 0.01, 0.02, 0.05, 0, 0)) // client error
+	log.WriteString(accessLine(1250, 500, 0.01, 0.02, 0.05, 0, 0)) // server error
 	log.WriteString(`{"type":"episode_end","seq":9,"wall_ms":1300,"data":{"steps":10}}` + "\n")
 
 	rep, total, err := replaySLO(strings.NewReader(log.String()),
@@ -33,20 +34,20 @@ func TestReplaySLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 111 {
-		t.Fatalf("replayed %d events, want 111 (non-access events skipped)", total)
+	if total != 112 {
+		t.Fatalf("replayed %d events, want 112 (non-access events skipped)", total)
 	}
-	if rep.OK != 100 || rep.Shed != 10 || rep.ClientErrors != 1 {
+	if rep.OK != 100 || rep.Shed != 10 || rep.ClientErrors != 1 || rep.ServerErrors != 1 {
 		t.Fatalf("outcomes %+v", rep)
 	}
-	// 10 shed out of 110 eligible against a 0.1% budget: burn way past 1.
+	// 11 shed or failed out of 111 eligible against a 0.1% budget: burn way past 1.
 	if b := rep.Overall.Availability; b == nil || b.Rate < 1 {
 		t.Fatalf("availability burn %+v", b)
 	}
 	if br := slo.GateBreaches(rep); len(br) != 1 || br[0] != "availability" {
 		t.Fatalf("breaches %v", br)
 	}
-	if rep.EvalMS.N != 101 {
+	if rep.EvalMS.N != 102 {
 		t.Errorf("eval distribution must exclude shed requests: %+v", rep.EvalMS)
 	}
 }

@@ -171,6 +171,11 @@ func (s *learnSummary) add(ev *obs.Event) error {
 			// rules track its magnitude (a -60 blowup is still a blowup).
 			g.td.add(math.Abs(v))
 			g.offline.CheckValue(obs.HistLearnTDErrorAbs, math.Abs(v))
+		} else if droppedNonFinite(ev) {
+			// Both event types always carry td_error, so a missing one is
+			// the non-finite value the sink left out. It stays out of the
+			// statistics but reaches the offline non-finite rule.
+			g.offline.CheckValue(obs.HistLearnTDErrorAbs, math.NaN())
 		}
 		if v, ok := ev.Data["target"]; ok {
 			g.target.add(v)
@@ -196,7 +201,7 @@ func (s *learnSummary) add(ev *obs.Event) error {
 		g.alerts = append(g.alerts, obs.Alert{
 			Rule:      ev.Labels["rule"],
 			Metric:    ev.Labels["metric"],
-			Value:     ev.Data["value"],
+			Value:     dataValue(ev, "value"),
 			Threshold: ev.Data["threshold"],
 		})
 	case obs.EventRunEnd:
@@ -206,6 +211,20 @@ func (s *learnSummary) add(ev *obs.Event) error {
 		g.endAlerts = int(ev.Data["numeric_alerts"])
 	}
 	return nil
+}
+
+// droppedNonFinite reports whether the JSONL sink left non-finite values
+// out of ev (it counts them in data.nonfinite).
+func droppedNonFinite(ev *obs.Event) bool { return ev.Data["nonfinite"] > 0 }
+
+// dataValue returns ev's data value for key, or NaN when the key is absent
+// because the sink dropped it as non-finite. Which non-finite value it was
+// is not recorded, so NaN stands for all of them.
+func dataValue(ev *obs.Event, key string) float64 {
+	if v, ok := ev.Data[key]; ok || !droppedNonFinite(ev) {
+		return v
+	}
+	return math.NaN()
 }
 
 func (s *learnSummary) print(w io.Writer) {

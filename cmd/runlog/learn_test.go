@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -108,5 +110,51 @@ func TestLearnSummaryOfflineScreen(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("offline screen missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestLearnSummaryDroppedNonFinite reads a log as the JSONL sink writes
+// it: a NaN TD error and a NaN alert value are left out of their events
+// and counted in data.nonfinite. The report must show the alert value as
+// NaN, not 0, and the offline screen must still see the NaN TD error.
+func TestLearnSummaryDroppedNonFinite(t *testing.T) {
+	var log bytes.Buffer
+	em := obs.NewEmitter(obs.NewJSONLSink(&log))
+	run := em.With(map[string]string{"design": "OS-ELM"})
+	run.Emit(obs.EventSeqUpdate, 0, map[string]float64{"td_error": math.NaN(), "target": 1, "clipped": 0})
+	em.EmitLabeled(obs.EventNumericAlert,
+		map[string]string{"design": "OS-ELM", "rule": obs.RuleNonFinite, "metric": obs.HistLearnTDErrorAbs},
+		map[string]float64{"value": math.NaN(), "threshold": 0})
+	if err := em.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	live := newLearnSummary(obs.DefaultWatchdogConfig())
+	if err := obs.ScanEvents(bytes.NewReader(log.Bytes()), live.add); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	live.print(&b)
+	if want := "ALERT         " + obs.RuleNonFinite + " on " + obs.HistLearnTDErrorAbs + ": value NaN"; !strings.Contains(b.String(), want) {
+		t.Errorf("report missing %q:\n%s", want, b.String())
+	}
+
+	// The same run without its live alert: the offline screen must flag
+	// the dropped TD error.
+	var seqOnly bytes.Buffer
+	for _, line := range bytes.SplitAfter(log.Bytes(), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"type":"`+obs.EventSeqUpdate+`"`)) {
+			seqOnly.Write(line)
+		}
+	}
+	offline := newLearnSummary(obs.DefaultWatchdogConfig())
+	if err := obs.ScanEvents(&seqOnly, offline.add); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	offline.print(&b)
+	if want := obs.RuleNonFinite + " on " + obs.HistLearnTDErrorAbs; !strings.Contains(b.String(), want) ||
+		!strings.Contains(b.String(), "offline re-evaluation") {
+		t.Errorf("offline screen missed the dropped TD error:\n%s", b.String())
 	}
 }

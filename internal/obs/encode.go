@@ -29,7 +29,7 @@ func (enc *eventEncoder) appendEvent(b []byte, ev *Event) ([]byte, error) {
 	b = append(b, `,"seq":`...)
 	b = strconv.AppendInt(b, ev.Seq, 10)
 	b = append(b, `,"wall_ms":`...)
-	b, ok := appendFloat(b, ev.WallMS)
+	b, ok := AppendFloat(b, ev.WallMS)
 	if !ok {
 		return b, errNonFinite
 	}
@@ -46,7 +46,7 @@ func (enc *eventEncoder) appendEvent(b []byte, ev *Event) ([]byte, error) {
 			}
 			b = appendString(b, k)
 			b = append(b, ':')
-			if b, ok = appendFloat(b, ev.Data[k]); !ok {
+			if b, ok = AppendFloat(b, ev.Data[k]); !ok {
 				return b, errNonFinite
 			}
 		}
@@ -98,11 +98,11 @@ func encodeLabels(labels map[string]string) []byte {
 	return enc.appendLabels(nil, labels)
 }
 
-// appendFloat appends f the way encoding/json writes a float64: the
+// AppendFloat appends f the way encoding/json writes a float64: the
 // shortest 'f' form, or 'e' form with a one-digit negative exponent kept
 // short (1e-7, not 1e-07) when |f| < 1e-6 or |f| ≥ 1e21. It reports false
 // for NaN and ±Inf.
-func appendFloat(b []byte, f float64) ([]byte, bool) {
+func AppendFloat(b []byte, f float64) ([]byte, bool) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, false
 	}

@@ -200,20 +200,15 @@ func (b *batcher) flush(pending []*batchItem) {
 	}
 }
 
-// answer builds a batchOut from a Q row, with the same lowest-index
-// argmax tie-break as the per-request handler, copying the row only when
-// the caller asked for Q values.
+// answer builds a batchOut from a Q row through bestAction, the
+// per-request handler's argmax, copying the row only when the caller
+// asked for Q values.
 func answer(qs []float64, err error, includeQ bool, generation, size int) batchOut {
-	if err != nil {
-		return batchOut{err: err, generation: generation, size: size}
+	out := batchOut{generation: generation, size: size, err: err}
+	if err == nil {
+		out.action, out.err = bestAction(qs)
 	}
-	out := batchOut{generation: generation, size: size}
-	for a := 1; a < len(qs); a++ {
-		if qs[a] > qs[out.action] {
-			out.action = a
-		}
-	}
-	if includeQ {
+	if out.err == nil && includeQ {
 		out.q = append([]float64(nil), qs...)
 	}
 	return out

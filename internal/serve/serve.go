@@ -34,7 +34,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -60,7 +59,8 @@ const (
 	MetricRequests = "serve_requests"
 	// MetricOK counts requests answered 200.
 	MetricOK = "serve_ok"
-	// MetricErrors counts requests rejected for client or decode errors.
+	// MetricErrors counts requests answered with an error: a 400 for a
+	// bad body or state, or a 500 for a non-finite Q value.
 	MetricErrors = "serve_errors"
 	// MetricShed counts requests shed with 429 because the worker pool
 	// and its bounded queue were full on arrival.
@@ -403,50 +403,32 @@ func (s *Service) handleTenantRoute(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// evalRequest and evalResponse are the /v1/predict / /v1/act wire types.
-type evalRequest struct {
-	State []float64 `json:"state"`
-}
-
-type evalResponse struct {
-	Action     int       `json:"action"`
-	Q          []float64 `json:"q,omitempty"`
-	Generation int       `json:"generation"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // admit implements the bounded-pool backpressure: a free worker slot
 // admits immediately; otherwise the request takes a bounded queue slot
-// and waits for a worker until ctx expires; a full queue sheds at once.
-// On ok the caller must invoke release exactly once; timedOut
-// distinguishes a queue-wait expiry from an immediate full-queue shed.
-func (s *Service) admit(ctx context.Context) (release func(), ok, timedOut bool) {
-	release = func() { <-s.sem }
+// and waits for a worker until ctx ends or its budget (Config.Timeout
+// from start) runs out; a full queue sheds at once. Only a waiting
+// request starts a timer. On ok the caller holds a worker slot and must
+// free it exactly once with <-s.sem; timedOut distinguishes a queue-wait
+// expiry from an immediate full-queue shed.
+func (s *Service) admit(ctx context.Context, start time.Time) (ok, timedOut bool) {
 	select {
 	case s.sem <- struct{}{}:
-		return release, true, false
+		return true, false
 	default:
 	}
 	select {
 	case s.queue <- struct{}{}:
 		defer func() { <-s.queue }()
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout-time.Since(start))
+		defer cancel()
 		select {
 		case s.sem <- struct{}{}:
-			return release, true, false
+			return true, false
 		case <-ctx.Done():
-			return nil, false, true
+			return false, true
 		}
 	default:
-		return nil, false, false
+		return false, false
 	}
 }
 
@@ -530,8 +512,10 @@ func msSince(t time.Time) float64 {
 // trace ID is generated whenever request observability (span tracing or
 // access logging) will use one. With everything off and no incoming
 // header, the request stays untraced at the cost of one header lookup.
+// The key is spelled in canonical form: Get canonicalizes any other
+// spelling into a new string on every request.
 func (s *Service) beginRequest(r *http.Request, rq *request) {
-	if h := r.Header.Get("traceparent"); h != "" {
+	if h := r.Header.Get("Traceparent"); h != "" {
 		if tc, ok := parseTraceparent(h); ok {
 			rq.tc, rq.traced = tc, true
 		}
@@ -592,21 +576,30 @@ func boolToFloat(b bool) float64 {
 	return 0
 }
 
-// setTimingHeaders annotates the response with the request's identity
-// and latency split: X-Trace-Id (when traced) and a standard
-// Server-Timing header carrying the queue and eval components, which is
-// how cmd/loadgen -slo splits client-observed latency without a
-// server-side log.
-func setTimingHeaders(w http.ResponseWriter, rq *request) {
+// setHeaders sets the response's Content-Type (application/json) and
+// annotates it with the request's identity and latency split: X-Trace-Id
+// (when traced) and a standard Server-Timing header carrying the queue
+// and eval components, which is how cmd/loadgen -slo splits
+// client-observed latency without a server-side log. Content-Type and
+// Server-Timing share one backing array.
+func setHeaders(w http.ResponseWriter, rq *request) {
+	var buf [64]byte
+	vals := make([]string, 2)
+	vals[0], vals[1] = "application/json", string(appendServerTiming(buf[:0], rq))
 	h := w.Header()
+	h["Content-Type"], h["Server-Timing"] = vals[0:1:1], vals[1:2:2]
 	if rq.traced {
 		h.Set("X-Trace-Id", rq.tc.traceIDHex())
 	}
-	if rq.evaluated {
-		h.Set("Server-Timing", fmt.Sprintf("queue;dur=%.4f, eval;dur=%.4f", rq.queueMS, rq.evalMS))
-	} else {
-		h.Set("Server-Timing", fmt.Sprintf("queue;dur=%.4f", rq.queueMS))
-	}
+}
+
+// fail answers the request with status and {"error":msg}, counting it as
+// outcome.
+func (s *Service) fail(w http.ResponseWriter, rq *request, status int, outcome slo.Outcome, msg string) {
+	rq.status, rq.outcome = status, outcome
+	setHeaders(w, rq)
+	writeJSON(w, status, errorResponse{msg})
+	s.finishRequest(rq)
 }
 
 func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, includeQ bool) {
@@ -628,55 +621,44 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		if ok, retryIn := t.quota.allow(rq.start); !ok {
 			s.obs.Inc(MetricQuotaDenied, 1)
 			s.obs.Inc(t.mQuota, 1)
-			rq.status, rq.outcome = http.StatusTooManyRequests, slo.Shed
 			rq.queueMS = msSince(rq.start)
-			setTimingHeaders(w, &rq)
 			w.Header().Set("Retry-After", retryAfterHeader(retryIn))
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{"tenant quota exceeded, retry later"})
-			s.finishRequest(&rq)
+			s.fail(w, &rq, http.StatusTooManyRequests, slo.Shed, "tenant quota exceeded, retry later")
 			return
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
 	qSpan := s.span(&rq, SpanQueue)
-	release, ok, timedOut := s.admit(ctx)
+	ok, timedOut := s.admit(r.Context(), rq.start)
 	qSpan.End()
 	rq.queueMS = msSince(rq.start)
 	if !ok {
-		rq.status, rq.outcome = http.StatusTooManyRequests, slo.Shed
+		outcome := slo.Shed
 		if timedOut {
-			rq.outcome = slo.Timeout
+			outcome = slo.Timeout
 			s.obs.Inc(MetricTimeout, 1)
 			s.obs.Inc(t.mTimeout, 1)
 		} else {
 			s.obs.Inc(MetricShed, 1)
 			s.obs.Inc(t.mShed, 1)
 		}
-		setTimingHeaders(w, &rq)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{"overloaded, retry later"})
-		s.finishRequest(&rq)
+		s.fail(w, &rq, http.StatusTooManyRequests, outcome, "overloaded, retry later")
 		return
 	}
-	released := false
-	releaseOnce := func() {
-		if !released {
-			released = true
-			release()
+	holding := true // the worker slot admit took
+	defer func() {
+		if holding {
+			<-s.sem
 		}
-	}
-	defer releaseOnce()
+	}()
 
-	var req evalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		s.obs.Inc(MetricErrors, 1)
-		s.obs.Inc(t.mErr, 1)
-		rq.status, rq.outcome = http.StatusBadRequest, slo.ClientError
-		setTimingHeaders(w, &rq)
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request body: " + err.Error()})
-		s.finishRequest(&rq)
+	sc := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(sc)
+	state, err := sc.decodeState(w, r.Body)
+	if err != nil {
+		s.countError(t)
+		s.fail(w, &rq, http.StatusBadRequest, slo.ClientError, "bad request body: "+err.Error())
 		return
 	}
 	if s.testHookEval != nil {
@@ -684,14 +666,15 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 	}
 
 	var resp evalResponse
-	var evalErr error
 	evalStart := time.Now()
 	eSpan := s.span(&rq, SpanEval)
 	if t.batch != nil {
 		// Micro-batched path: park with the tenant's collector; the reply
 		// carries the batch size and a Q copy. A closed collector (drain)
 		// falls back to inline evaluation so the request is never dropped.
-		it := &batchItem{state: req.State, includeQ: includeQ, out: make(chan batchOut, 1)}
+		// The item gets its own copy of the state: sc goes back to the
+		// pool when this handler returns.
+		it := &batchItem{state: append([]float64(nil), state...), includeQ: includeQ, out: make(chan batchOut, 1)}
 		var bo batchOut
 		answered := false
 		if t.batch.submit(it) {
@@ -699,21 +682,18 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 			// peer requests can join the same batch (otherwise a small -pool
 			// would cap every batch at the pool size). Eval concurrency is
 			// bounded by the per-tenant collector and the evaluator pool.
-			releaseOnce()
+			holding = false
+			<-s.sem
 			bo, answered = t.batch.await(it)
 		}
 		if !answered {
-			bo = t.evalInline(req.State, includeQ)
+			bo = t.evalInline(state, includeQ)
 		}
 		rq.generation, rq.batch = bo.generation, bo.size
 		resp = evalResponse{Action: bo.action, Q: bo.q, Generation: bo.generation}
-		evalErr = bo.err
+		err = bo.err
 		eSpan.End()
 		rq.evalMS, rq.evaluated = msSince(evalStart), true
-		if evalErr == nil {
-			s.writeEvalOK(w, &rq, t, resp)
-			return
-		}
 	} else {
 		// Per-request path: the policy pointer read and the evaluation
 		// both happen against one consistent snapshot — a concurrent
@@ -722,45 +702,51 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		p := t.policy.Load()
 		rq.generation, rq.batch = p.generation, 1
 		ev := p.acquire()
-		qs, err := ev.QValues(req.State)
+		defer p.release(ev) // after the response, which encodes its Q values
+		var qs []float64
+		qs, err = ev.QValues(state)
 		eSpan.End()
 		rq.evalMS, rq.evaluated = msSince(evalStart), true
 		s.noteEvalMS(rq.evalMS)
 		if err == nil {
-			resp = evalResponse{Generation: p.generation}
-			for a := 1; a < len(qs); a++ {
-				if qs[a] > qs[resp.Action] {
-					resp.Action = a
-				}
-			}
+			resp.Action, err = bestAction(qs)
+			resp.Generation = p.generation
 			if includeQ {
-				resp.Q = qs // evaluator-owned; marshalled before release below
+				resp.Q = qs
 			}
-			s.writeEvalOK(w, &rq, t, resp)
-			p.release(ev)
-			return
 		}
-		p.release(ev)
-		evalErr = err
 	}
-	s.obs.Inc(MetricErrors, 1)
-	s.obs.Inc(t.mErr, 1)
-	rq.status, rq.outcome = http.StatusBadRequest, slo.ClientError
-	setTimingHeaders(w, &rq)
-	writeJSON(w, http.StatusBadRequest, errorResponse{evalErr.Error()})
-	s.finishRequest(&rq)
+	if err == nil {
+		s.writeEvalOK(w, &rq, t, sc, &resp)
+		return
+	}
+	s.countError(t)
+	status, outcome := http.StatusBadRequest, slo.ClientError
+	if errors.Is(err, errNonFiniteQ) {
+		status, outcome = http.StatusInternalServerError, slo.ServerError
+	}
+	s.fail(w, &rq, status, outcome, err.Error())
 }
 
-// writeEvalOK encodes the 200 response and closes out the request
+// countError counts a request answered with an error status.
+func (s *Service) countError(t *Tenant) {
+	s.obs.Inc(MetricErrors, 1)
+	s.obs.Inc(t.mErr, 1)
+}
+
+// writeEvalOK encodes the 200 response into sc and closes out the request
 // bookkeeping shared by the batched and per-request paths.
-func (s *Service) writeEvalOK(w http.ResponseWriter, rq *request, t *Tenant, resp evalResponse) {
+func (s *Service) writeEvalOK(w http.ResponseWriter, rq *request, t *Tenant, sc *evalScratch, resp *evalResponse) {
 	encSpan := s.span(rq, SpanEncode)
-	setTimingHeaders(w, rq)
-	writeJSON(w, http.StatusOK, resp)
+	rq.status, rq.outcome = http.StatusOK, slo.OK
+	setHeaders(w, rq)
+	// bestAction has rejected non-finite Q values, so encoding succeeds.
+	sc.resp, _ = appendEvalResponse(sc.resp[:0], resp)
+	w.WriteHeader(http.StatusOK)
+	w.Write(sc.resp)
 	encSpan.End()
 	s.obs.Inc(MetricOK, 1)
 	s.obs.Inc(t.mOK, 1)
-	rq.status, rq.outcome = http.StatusOK, slo.OK
 	s.finishRequest(rq)
 }
 
