@@ -553,9 +553,23 @@ func TestMicroRungAllocCeilings(t *testing.T) {
 		rung{"FacadeAgentStep", 1.23, facadeStep(t, oselmrl.DesignOSELML2Lipschitz, false)},
 		rung{"FPGAFacadeAgentStep", 1.225, facadeStep(t, oselmrl.DesignFPGA, false)},
 		rung{"TelemetryAgentStep", 1.855, facadeStep(t, oselmrl.DesignOSELML2Lipschitz, true)},
-		rung{"ServeAct", 2, serveRequest(t, "/v1/act")},
-		rung{"ServePredict", 2, serveRequest(t, "/v1/predict")},
 	)
+	if raceEnabled {
+		// The race detector drops about one sync.Pool.Put in four, so
+		// about a quarter of requests build a new evaluator and scratch
+		// (3.6 allocs/op measured): the count prices the race detector,
+		// not the service.
+		t.Log("ServeAct, ServePredict: not run under -race, which drops sync.Pool puts")
+	} else {
+		// Each request makes 2 allocations. The ceiling admits one more in
+		// the 200-request window: once in a few hundred runs the runtime's
+		// own background work allocates while the loop runs (a memory
+		// profile showed the scavenger growing its timer heap).
+		rungs = append(rungs,
+			rung{"ServeAct", 2.005, serveRequest(t, "/v1/act")},
+			rung{"ServePredict", 2.005, serveRequest(t, "/v1/predict")},
+		)
+	}
 	for _, r := range rungs {
 		got := meanAllocs(200, r.op())
 		t.Logf("%-28s %g allocs/op (ceiling %g)", r.name, got, r.ceiling)

@@ -219,8 +219,8 @@ func run() int {
 	}
 	if eng != nil {
 		rep := eng.Report()
-		fmt.Fprintf(os.Stderr, "serve: slo: %d requests, %d slow, %d shed, %d timed out\n",
-			rep.Requests, rep.SlowRequests, rep.Shed, rep.Timeouts)
+		fmt.Fprintf(os.Stderr, "serve: slo: %d requests, %d slow, %d shed, %d timed out, %d server errors\n",
+			rep.Requests, rep.SlowRequests, rep.Shed, rep.Timeouts, rep.ServerErrors)
 	}
 	if err := emitter.Close(); err != nil {
 		return fail(err)

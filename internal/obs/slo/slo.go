@@ -38,8 +38,8 @@ const (
 	// request budget expired before a worker freed up.
 	Timeout
 	// ServerError is a request the service failed to answer (a 5xx), such
-	// as a policy that produced a non-finite Q value; it consumes
-	// availability budget.
+	// as a policy with non-finite weights producing a non-finite Q value;
+	// it consumes availability budget.
 	ServerError
 )
 

@@ -176,7 +176,7 @@ func (b *batcher) flush(pending []*batchItem) {
 		// Single-element fallthrough: the per-request path, no GEMM.
 		it := valid[0]
 		qs, err := ev.QValues(it.state)
-		it.out <- answer(qs, err, it.includeQ, p.generation, size)
+		it.out <- answer(p, qs, err, it.includeQ, size)
 	default:
 		states := make([][]float64, len(valid))
 		for i, it := range valid {
@@ -192,7 +192,7 @@ func (b *batcher) flush(pending []*batchItem) {
 		qd := qm.RawData()
 		na := ev.ActionCount()
 		for i, it := range valid {
-			it.out <- answer(qd[i*na:(i+1)*na], nil, it.includeQ, p.generation, size)
+			it.out <- answer(p, qd[i*na:(i+1)*na], nil, it.includeQ, size)
 		}
 	}
 	if n := len(valid); n > 0 {
@@ -200,13 +200,13 @@ func (b *batcher) flush(pending []*batchItem) {
 	}
 }
 
-// answer builds a batchOut from a Q row through bestAction, the
-// per-request handler's argmax, copying the row only when the caller
+// answer builds a batchOut from a Q row p evaluated through bestAction,
+// the per-request handler's argmax, copying the row only when the caller
 // asked for Q values.
-func answer(qs []float64, err error, includeQ bool, generation, size int) batchOut {
-	out := batchOut{generation: generation, size: size, err: err}
+func answer(p *Policy, qs []float64, err error, includeQ bool, size int) batchOut {
+	out := batchOut{generation: p.generation, size: size, err: err}
 	if err == nil {
-		out.action, out.err = bestAction(qs)
+		out.action, out.err = p.bestAction(qs)
 	}
 	if out.err == nil && includeQ {
 		out.q = append([]float64(nil), qs...)

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"time"
 
+	"oselmrl/internal/elm"
 	"oselmrl/internal/qnet"
 )
 
@@ -18,6 +20,9 @@ type Policy struct {
 	source     string
 	loadedAt   time.Time
 	evals      sync.Pool
+	// finite reports whether every θ1 weight the evaluator reads is
+	// finite; it decides whose fault a non-finite Q value is (bestAction).
+	finite bool
 }
 
 func newPolicy(agent *qnet.Agent, source string, generation int) *Policy {
@@ -26,9 +31,22 @@ func newPolicy(agent *qnet.Agent, source string, generation int) *Policy {
 		generation: generation,
 		source:     source,
 		loadedAt:   time.Now(),
+		finite:     weightsFinite(agent.Theta1().Model),
 	}
 	p.evals.New = func() any { return agent.NewEvaluator() }
 	return p
+}
+
+// weightsFinite reports whether m's α, b and β hold no NaN or ±Inf.
+func weightsFinite(m *elm.Model) bool {
+	for _, ws := range [][]float64{m.Alpha.RawData(), m.Bias, m.Beta.RawData()} {
+		for _, w := range ws {
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Generation is the reload counter (1 for the initially loaded policy).

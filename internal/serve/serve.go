@@ -34,6 +34,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -60,7 +61,8 @@ const (
 	// MetricOK counts requests answered 200.
 	MetricOK = "serve_ok"
 	// MetricErrors counts requests answered with an error: a 400 for a
-	// bad body or state, or a 500 for a non-finite Q value.
+	// bad body or state, or a 500 for a policy whose weights are not all
+	// finite producing a non-finite Q value.
 	MetricErrors = "serve_errors"
 	// MetricShed counts requests shed with 429 because the worker pool
 	// and its bounded queue were full on arrival.
@@ -598,7 +600,8 @@ func setHeaders(w http.ResponseWriter, rq *request) {
 func (s *Service) fail(w http.ResponseWriter, rq *request, status int, outcome slo.Outcome, msg string) {
 	rq.status, rq.outcome = status, outcome
 	setHeaders(w, rq)
-	writeJSON(w, status, errorResponse{msg})
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(errorResponse{msg})
 	s.finishRequest(rq)
 }
 
@@ -709,7 +712,7 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request, t *Tenant, 
 		rq.evalMS, rq.evaluated = msSince(evalStart), true
 		s.noteEvalMS(rq.evalMS)
 		if err == nil {
-			resp.Action, err = bestAction(qs)
+			resp.Action, err = p.bestAction(qs)
 			resp.Generation = p.generation
 			if includeQ {
 				resp.Q = qs
@@ -740,8 +743,7 @@ func (s *Service) writeEvalOK(w http.ResponseWriter, rq *request, t *Tenant, sc 
 	encSpan := s.span(rq, SpanEncode)
 	rq.status, rq.outcome = http.StatusOK, slo.OK
 	setHeaders(w, rq)
-	// bestAction has rejected non-finite Q values, so encoding succeeds.
-	sc.resp, _ = appendEvalResponse(sc.resp[:0], resp)
+	sc.resp = appendEvalResponse(sc.resp[:0], resp)
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.resp)
 	encSpan.End()
@@ -757,7 +759,7 @@ func (t *Tenant) evalInline(state []float64, includeQ bool) batchOut {
 	ev := p.acquire()
 	defer p.release(ev)
 	qs, err := ev.QValues(state)
-	return answer(qs, err, includeQ, p.generation, 1)
+	return answer(p, qs, err, includeQ, 1)
 }
 
 func (s *Service) handleInfo(w http.ResponseWriter, r *http.Request, t *Tenant) {

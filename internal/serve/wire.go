@@ -33,18 +33,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// errNonFiniteQ answers a request whose Q values hold a NaN or ±Inf: no
-// action can be chosen from them and JSON cannot carry them, so the
-// request fails with 500 instead of a made-up answer.
-var errNonFiniteQ = errors.New("policy produced a non-finite Q value")
+// A NaN or ±Inf Q value yields no action, and JSON cannot carry it. Whose
+// fault it is depends on the policy: one whose weights are all finite
+// produces it only for a state that drives the network out of float64
+// range (a finite state such as [1e308,1e308,1e308,1e308] can), which is
+// the client's fault and answers 400; one whose weights are not all
+// finite is broken and answers 500.
+var (
+	errNonFiniteState = errors.New("state produced a non-finite Q value")
+	errNonFiniteQ     = errors.New("policy produced a non-finite Q value")
+)
 
-// bestAction returns the lowest-index argmax of qs, or errNonFiniteQ when
-// some value is NaN or ±Inf.
-func bestAction(qs []float64) (int, error) {
+// bestAction returns the lowest-index argmax of qs, a Q row p evaluated.
+// When some value is NaN or ±Inf it returns errNonFiniteQ if p's weights
+// are not all finite and errNonFiniteState if they are.
+func (p *Policy) bestAction(qs []float64) (int, error) {
 	best := 0
 	for a, q := range qs {
 		if math.IsNaN(q) || math.IsInf(q, 0) {
-			return 0, errNonFiniteQ
+			if !p.finite {
+				return 0, errNonFiniteQ
+			}
+			return 0, errNonFiniteState
 		}
 		if q > qs[best] {
 			best = a
@@ -292,9 +302,9 @@ func skipDigits(b []byte, i int) int {
 }
 
 // appendEvalResponse appends the bytes json.NewEncoder(w).Encode(resp)
-// writes, newline included. It reports false, leaving a partial
-// response, when a Q value is NaN or ±Inf, which encoding/json rejects.
-func appendEvalResponse(b []byte, resp *evalResponse) ([]byte, bool) {
+// writes, newline included. Every Q value must be finite, as bestAction
+// has checked: encoding/json rejects NaN and ±Inf.
+func appendEvalResponse(b []byte, resp *evalResponse) []byte {
 	b = append(b, `{"action":`...)
 	b = strconv.AppendInt(b, int64(resp.Action), 10)
 	if len(resp.Q) > 0 {
@@ -303,16 +313,13 @@ func appendEvalResponse(b []byte, resp *evalResponse) ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			var ok bool
-			if b, ok = obs.AppendFloat(b, q); !ok {
-				return b, false
-			}
+			b, _ = obs.AppendFloat(b, q)
 		}
 		b = append(b, ']')
 	}
 	b = append(b, `,"generation":`...)
 	b = strconv.AppendInt(b, int64(resp.Generation), 10)
-	return append(b, "}\n"...), true
+	return append(b, "}\n"...)
 }
 
 // appendServerTiming appends the request's Server-Timing value, the bytes

@@ -98,8 +98,8 @@ func TestEvalRequestFastPath(t *testing.T) {
 }
 
 // FuzzEvalResponseEncode checks the append response encoder against
-// json.Encoder byte for byte, failing exactly when encoding/json fails,
-// and the Server-Timing value against fmt's %.4f.
+// json.Encoder byte for byte, bestAction's rejections against
+// encoding/json's, and the Server-Timing value against fmt's %.4f.
 func FuzzEvalResponseEncode(f *testing.F) {
 	floats := []float64{
 		0, math.Copysign(0, -1), 1, -1.5, 0.1, 123456789, 3.364814285714286,
@@ -116,12 +116,15 @@ func FuzzEvalResponseEncode(f *testing.F) {
 		resp := evalResponse{Action: action, Q: qs[:n%4], Generation: generation}
 		var want bytes.Buffer
 		werr := json.NewEncoder(&want).Encode(resp)
-		got, ok := appendEvalResponse(nil, &resp)
-		if ok != (werr == nil) {
-			t.Fatalf("%+v: ok %v, encoding/json error %v", resp, ok, werr)
+		// The handler encodes only what bestAction accepts, which must be
+		// exactly what encoding/json can encode.
+		if _, err := (&Policy{}).bestAction(resp.Q); (err == nil) != (werr == nil) {
+			t.Fatalf("%+v: bestAction error %v, encoding/json error %v", resp, err, werr)
 		}
-		if ok && !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("%+v:\ngot  %q\nwant %q", resp, got, want.Bytes())
+		if werr == nil {
+			if got := appendEvalResponse(nil, &resp); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%+v:\ngot  %q\nwant %q", resp, got, want.Bytes())
+			}
 		}
 
 		rq := request{queueMS: qs[0], evalMS: qs[1], evaluated: n%2 == 0}
@@ -135,37 +138,63 @@ func FuzzEvalResponseEncode(f *testing.F) {
 	})
 }
 
-// A policy whose Q values are not finite answers 500 on both routes, on
-// the per-request and the batched path, counted as a server error: not a
-// 200 with an empty body (/v1/predict) or a made-up action 0 (/v1/act).
-func TestNonFiniteQAnswers500(t *testing.T) {
-	for _, window := range []time.Duration{0, time.Millisecond} {
-		em := obs.NewEmitter(nil)
-		eng := slo.NewEngine(slo.DefaultObjectives())
-		s, _ := newTestService(t, Config{Obs: em, SLO: eng, BatchWindow: window})
-		beta := s.Policy().agent.Theta1().Beta.RawData()
-		for i := range beta {
-			beta[i] = math.NaN()
-		}
-		h := s.Handler()
-		for _, route := range []string{"/v1/predict", "/v1/act"} {
-			w := postPredict(h, route, []float64{0.1, -0.2, 0.3, 0})
-			if w.Code != http.StatusInternalServerError {
-				t.Errorf("window %v %s: status %d, want 500", window, route, w.Code)
+// A policy whose weights are not all finite answers 500 on both routes,
+// on the per-request and the batched path, counted as a server error: not
+// a 200 with an empty body (/v1/predict) or a made-up action 0 (/v1/act).
+// A finite policy driven out of float64 range by a huge but finite state
+// answers 400, counted as a client error: a client cannot spend the
+// service's availability budget. (The test policy's Lipschitz-normalized
+// weights keep every finite state in range, so that case scales β up.)
+func TestNonFiniteQAnswers(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		beta      float64
+		state     []float64
+		status    int
+		body      string
+		serverErr int64
+	}{
+		{"NaN β", math.NaN(), []float64{0.1, -0.2, 0.3, 0}, http.StatusInternalServerError,
+			`{"error":"policy produced a non-finite Q value"}`, 2},
+		{"huge state", 1e300, []float64{1e308, 1e308, 1e308, 1e308}, http.StatusBadRequest,
+			`{"error":"state produced a non-finite Q value"}`, 0},
+	} {
+		for _, window := range []time.Duration{0, time.Millisecond} {
+			em := obs.NewEmitter(nil)
+			eng := slo.NewEngine(slo.DefaultObjectives())
+			s, _ := newTestService(t, Config{Obs: em, SLO: eng, BatchWindow: window})
+			// A checkpoint cannot hold NaN, so set the loaded weights and
+			// load them again as a new generation.
+			p := s.Policy()
+			beta := p.agent.Theta1().Beta.RawData()
+			for i := range beta {
+				beta[i] = c.beta
 			}
-			if got, want := w.Body.String(), `{"error":"policy produced a non-finite Q value"}`+"\n"; got != want {
-				t.Errorf("window %v %s: body %q, want %q", window, route, got, want)
+			s.def.policy.Store(newPolicy(p.agent, p.source, p.generation+1))
+			h := s.Handler()
+			for _, route := range []string{"/v1/predict", "/v1/act"} {
+				w := postPredict(h, route, c.state)
+				if w.Code != c.status {
+					t.Errorf("%s, window %v %s: status %d, want %d", c.name, window, route, w.Code, c.status)
+				}
+				if got, want := w.Body.String(), c.body+"\n"; got != want {
+					t.Errorf("%s, window %v %s: body %q, want %q", c.name, window, route, got, want)
+				}
 			}
-		}
-		s.Close()
-		snap := em.Metrics().Snapshot()
-		if snap.Counter(MetricErrors) != 2 || snap.Counter(MetricOK) != 0 {
-			t.Errorf("window %v: serve_errors %d, serve_ok %d", window,
-				snap.Counter(MetricErrors), snap.Counter(MetricOK))
-		}
-		rep := eng.Report()
-		if rep.ServerErrors != 2 || rep.Overall.Availability == nil || rep.Overall.Availability.Bad != 2 {
-			t.Errorf("window %v: slo report %+v", window, rep)
+			s.Close()
+			snap := em.Metrics().Snapshot()
+			if snap.Counter(MetricErrors) != 2 || snap.Counter(MetricOK) != 0 {
+				t.Errorf("%s, window %v: serve_errors %d, serve_ok %d", c.name, window,
+					snap.Counter(MetricErrors), snap.Counter(MetricOK))
+			}
+			rep := eng.Report()
+			var unavailable int64
+			if rep.Overall.Availability != nil {
+				unavailable = rep.Overall.Availability.Bad
+			}
+			if rep.ServerErrors != c.serverErr || rep.ClientErrors != 2-c.serverErr || unavailable != c.serverErr {
+				t.Errorf("%s, window %v: slo report %+v", c.name, window, rep)
+			}
 		}
 	}
 }
