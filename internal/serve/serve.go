@@ -61,8 +61,9 @@ const (
 	// MetricOK counts requests answered 200.
 	MetricOK = "serve_ok"
 	// MetricErrors counts requests answered with an error: a 400 for a
-	// bad body or state, or a 500 for a policy whose weights are not all
-	// finite producing a non-finite Q value.
+	// bad body or state (one that drives a Q value out of range
+	// included), or a 500 for a policy whose weights are not all finite
+	// producing a non-finite Q value.
 	MetricErrors = "serve_errors"
 	// MetricShed counts requests shed with 429 because the worker pool
 	// and its bounded queue were full on arrival.
